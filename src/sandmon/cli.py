@@ -26,14 +26,22 @@ from .graph import (
 )
 
 
-def _default_budget() -> int:
-    env = os.environ.get("SANDMON_BUDGET")
-    if env:
+def _step_budget(args) -> int:
+    """``--budget``, else ``SANDMON_BUDGET``, else the library default."""
+    budget = args.budget
+    if budget is None:
+        env = os.environ.get("SANDMON_BUDGET")
+        if not env:
+            return rewrite.DEFAULT_STEP_BUDGET
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
-            pass
-    return rewrite.DEFAULT_STEP_BUDGET
+            raise errors.BadParameters(
+                f"SANDMON_BUDGET must be an integer, got {env!r}"
+            ) from None
+    if budget < 0:
+        raise errors.BadParameters(f"step budget must be >= 0, got {budget}")
+    return budget
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -78,6 +86,7 @@ def cmd_check(args) -> int:
 
 def cmd_stabilize(args) -> int:
     g, hint = _load_graph(args.graph)
+    budget = _step_budget(args)
     config_text = args.config or ""
     try:
         sandpile = validate_sandpile(g, sink_hint=hint)
@@ -94,7 +103,7 @@ def cmd_stabilize(args) -> int:
         if sandpile is not None:
             trace = rewrite.stabilize(sandpile, c, sink_absorbing=False)
         else:
-            trace = rewrite.stabilize_weighted(target, c, step_budget=args.budget)
+            trace = rewrite.stabilize_weighted(target, c, step_budget=budget)
         used = target
         mode = "free"
     payload = {"report": "stabilize", "mode": mode}
@@ -244,7 +253,7 @@ def cmd_k0(args) -> int:
         mode = "graph"
     _, S, _ = ktheory.smith_normal_form(matrix)
     diag = ktheory.snf_diagonal(S)
-    invariants = ktheory.cokernel(matrix)
+    invariants = ktheory.invariants_from_diagonal(diag, len(matrix))
     payload = {
         "report": "k0",
         "mode": mode,
@@ -391,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
         if graph_arg:
             p.add_argument("graph", help="graph file in the text format")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
         p.set_defaults(func=func)
         return p
 
@@ -401,7 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="configuration, e.g. x=5,s=1")
     p.add_argument("--mode", choices=["sp", "free"], default="sp",
                    help="sp absorbs sink grains, free retains them")
-    p.add_argument("--budget", type=int, default=_default_budget())
+    p.add_argument("--budget", type=int, default=None,
+                   help="step budget on graphs that need not stabilize"
+                        " (default: SANDMON_BUDGET, else %d)"
+                        % rewrite.DEFAULT_STEP_BUDGET)
 
     p = add("monoid", cmd_monoid, "sandpile monoid report")
     p.add_argument("--cap", type=int, default=None)
@@ -422,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize", help="certify the quotient realization")
     p.add_argument("graph", nargs="?", help="graph file in the text format")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--golden", metavar="DIR",
                    help="write or compare canonical reports for the named examples")
     p.set_defaults(func=cmd_realize)
@@ -433,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cycle-suite", help="three-way cycle monoid comparison")
     p.add_argument("weights", help="comma separated weights, e.g. 2,2,1")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_cycle_suite)
 
     p = sub.add_parser("export-dot", help="emit DOT")

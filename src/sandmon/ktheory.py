@@ -187,14 +187,18 @@ def snf_diagonal(S: Matrix) -> list:
     return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
 
 
-def cokernel(A: Matrix) -> AbelianGroupInvariants:
-    """Invariant factors and free rank of Z^rows / image(A)."""
-    m = len(A)
-    _, S, _ = smith_normal_form(A)
-    diag = snf_diagonal(S)
+def invariants_from_diagonal(diag, rows: int) -> AbelianGroupInvariants:
+    """Invariant factors and free rank of Z^rows / image(A), read off the
+    SNF diagonal of A."""
     torsion = tuple(d for d in diag if d > 1)
     nonzero = sum(1 for d in diag if d)
-    return AbelianGroupInvariants(torsion=torsion, free_rank=m - nonzero)
+    return AbelianGroupInvariants(torsion=torsion, free_rank=rows - nonzero)
+
+
+def cokernel(A: Matrix) -> AbelianGroupInvariants:
+    """Invariant factors and free rank of Z^rows / image(A)."""
+    _, S, _ = smith_normal_form(A)
+    return invariants_from_diagonal(snf_diagonal(S), len(A))
 
 
 # --------------------------------------------------------------- graph matrices

@@ -148,41 +148,68 @@ def _firing_data(g: WeightedDigraph):
     return data
 
 
+def _fire(g: WeightedDigraph, counts: list, odometer=None, fired=None,
+          budget=None):
+    """The firing kernel: topple ``counts`` (a list) in place until no
+    regular vertex holds its weight; returns (steps, exhausted).
+
+    Each sweep visits the regular vertices in index order and fires an
+    unstable v k = counts[v] // weight(v) times at once; sweeps repeat until
+    one fires nothing.  Sinks never fire.  ``odometer`` gains k at v;
+    ``fired`` gains k copies of v, which replay one at a time since v held
+    k * weight(v) grains and loops only return grains.  A ``budget`` cuts
+    the batch that would pass it short: steps == budget, exhausted is True.
+    """
+    data = g.__dict__.get("_sweep_data")
+    if data is None:
+        data = g._sweep_data = tuple(
+            (v, g.weight(v), g.out_targets[v]) for v in g.regular_vertices()
+        )
+    steps = 0
+    swept = True
+    while swept:
+        swept = False
+        for v, w, targets in data:
+            c = counts[v]
+            if c >= w:
+                k = c // w
+                exhausted = budget is not None and k > budget - steps
+                if exhausted:
+                    k = budget - steps
+                counts[v] = c - k * w
+                for t in targets:
+                    counts[t] += k
+                steps += k
+                if odometer is not None:
+                    odometer[v] += k
+                if fired is not None:
+                    fired.extend([v] * k)
+                if exhausted:
+                    return steps, True
+                swept = True
+    return steps, False
+
+
 def stabilize(g: SandpileGraph, c, sink_absorbing: bool = True,
               record: bool = False) -> StabilizationTrace:
-    """Topple to the unique stable configuration, lowest-index vertex first.
+    """Topple to the unique stable configuration in batched sweeps over the
+    vertices in index order (``_fire``).  By the abelian property (Dhar
+    1990; Bjorner, Lovasz and Shor 1991) the result, the odometer and the
+    step count are those of every complete firing order.
 
-    With ``sink_absorbing`` the sink is emptied after every step (sandpile
-    monoid semantics); otherwise sink grains accumulate.  Termination is
-    guaranteed on sandpile graphs, so no budget applies.
+    With ``sink_absorbing`` the sink is emptied (sandpile monoid semantics);
+    otherwise sink grains accumulate.  Termination is guaranteed on sandpile
+    graphs, so no budget applies.  ``record`` keeps a firing sequence that
+    ``topple_once`` replays from ``c``.
     """
     if not isinstance(g, SandpileGraph):
         raise errors.BadParameters("stabilize needs a validated sandpile graph")
     counts = list(_check_config(g, c))
-    sink = g.sink
-    if sink_absorbing:
-        counts[sink] = 0
-    order = [v for v in range(g.n_vertices) if v != sink]
-    data = _firing_data(g)
     odometer = [0] * g.n_vertices
-    steps = 0
     fired = [] if record else None
-    while True:
-        for v in order:
-            w, targets = data[v]
-            if counts[v] >= w:
-                counts[v] -= w
-                for t in targets:
-                    counts[t] += 1
-                if sink_absorbing:
-                    counts[sink] = 0
-                odometer[v] += 1
-                steps += 1
-                if record:
-                    fired.append(v)
-                break
-        else:
-            break
+    steps, _ = _fire(g, counts, odometer, fired)
+    if sink_absorbing:
+        counts[g.sink] = 0
     return StabilizationTrace(
         tuple(counts), tuple(odometer), steps,
         tuple(fired) if record else None,
@@ -192,27 +219,9 @@ def stabilize(g: SandpileGraph, c, sink_absorbing: bool = True,
 def _stable_form(g: SandpileGraph, counts, sink_absorbing=True) -> tuple:
     """Fast stabilisation without trace bookkeeping."""
     counts = list(counts)
-    sink = g.sink
+    _fire(g, counts)
     if sink_absorbing:
-        counts[sink] = 0
-    data = g.__dict__.get("_firing_data")
-    if data is None:
-        data = _firing_data(g)
-        g._firing_data = data
-    unstable = True
-    while unstable:
-        unstable = False
-        for v in range(len(counts)):
-            if v == sink:
-                continue
-            w, targets = data[v]
-            while counts[v] >= w:
-                counts[v] -= w
-                for t in targets:
-                    counts[t] += 1
-                unstable = True
-        if sink_absorbing:
-            counts[sink] = 0
+        counts[g.sink] = 0
     return tuple(counts)
 
 
@@ -220,34 +229,23 @@ def stabilize_weighted(g: WeightedDigraph, c,
                        step_budget: int = DEFAULT_STEP_BUDGET) -> StabilizationTrace:
     """Stabilise on a vertex weighted graph, which may not terminate.
 
-    Raises BudgetExhausted (carrying the partial trace) once the step budget
-    runs out; that says nothing about divergence, only that the budget ended.
+    Raises BudgetExhausted (carrying the partial trace, whose steps equal
+    the budget) once the step budget runs out; that says nothing about
+    divergence, only that the budget ended.
     """
     if not g.is_vertex_weighted():
         raise errors.BadParameters("graph is not vertex weighted")
+    if step_budget < 0:
+        raise errors.BadParameters(f"step budget must be >= 0, got {step_budget}")
     counts = list(_check_config(g, c))
-    data = _firing_data(g)
-    order = [v for v in range(g.n_vertices) if data[v] is not None]
     odometer = [0] * g.n_vertices
-    steps = 0
-    while True:
-        for v in order:
-            w, targets = data[v]
-            if counts[v] >= w:
-                if steps >= step_budget:
-                    raise errors.BudgetExhausted(
-                        f"no stable form within {step_budget} steps",
-                        partial=StabilizationTrace(tuple(counts), tuple(odometer), steps),
-                    )
-                counts[v] -= w
-                for t in targets:
-                    counts[t] += 1
-                odometer[v] += 1
-                steps += 1
-                break
-        else:
-            break
-    return StabilizationTrace(tuple(counts), tuple(odometer), steps)
+    steps, exhausted = _fire(g, counts, odometer, budget=step_budget)
+    trace = StabilizationTrace(tuple(counts), tuple(odometer), steps)
+    if exhausted:
+        raise errors.BudgetExhausted(
+            f"no stable form within {step_budget} steps", partial=trace
+        )
+    return trace
 
 
 def potential(g: SandpileGraph, c) -> int:

@@ -4,6 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from sandmon import ktheory
 from sandmon.cli import main
 
 SCHEMA = json.loads(
@@ -28,6 +29,17 @@ def run_json(capsys, *args):
 
 def graph_path(name):
     return str(GRAPHS / name)
+
+
+def diverging_graph_file(tmp_path):
+    """Two vertices of weight two with loops; u=2 never stabilises."""
+    f = tmp_path / "diverging.sg"
+    f.write_text(
+        "vertex u\nvertex v\n"
+        "edge u u w=2\nedge u v w=2\nedge u v w=2\n"
+        "edge v u w=2\nedge v v w=2\n"
+    )
+    return f
 
 
 def test_check_text_output(capsys):
@@ -91,12 +103,7 @@ def test_stabilize_free_mode(capsys):
 
 
 def test_stabilize_budget_exhaustion(capsys, tmp_path):
-    f = tmp_path / "diverging.sg"
-    f.write_text(
-        "vertex u\nvertex v\n"
-        "edge u u w=2\nedge u v w=2\nedge u v w=2\n"
-        "edge v u w=2\nedge v v w=2\n"
-    )
+    f = diverging_graph_file(tmp_path)
     rc, _, err = run(capsys, "stabilize", str(f), "--config", "u=2",
                      "--budget", "50")
     assert rc == 1
@@ -159,6 +166,22 @@ def test_k0_reports(capsys):
     assert rc == 0
     assert payload["invariant_factors"] == [8]
     assert payload["mode"] == "sandpile-group"
+
+
+def test_k0_runs_one_smith_normal_form(capsys, monkeypatch):
+    calls = []
+    snf = ktheory.smith_normal_form
+
+    def counted(matrix):
+        calls.append(matrix)
+        return snf(matrix)
+
+    monkeypatch.setattr(ktheory, "smith_normal_form", counted)
+    rc, payload, _ = run_json(capsys, "k0", graph_path("t.sg"), "--sandpile-group")
+    assert rc == 0
+    assert len(calls) == 1
+    assert payload["snf_diagonal"] == [1, 1, 8]
+    assert payload["free_rank"] == 0
 
 
 def test_realize_report(capsys):
@@ -232,16 +255,43 @@ def test_export_dot(capsys):
 
 
 def test_budget_env_override(capsys, monkeypatch, tmp_path):
-    f = tmp_path / "diverging.sg"
-    f.write_text(
-        "vertex u\nvertex v\n"
-        "edge u u w=2\nedge u v w=2\nedge u v w=2\n"
-        "edge v u w=2\nedge v v w=2\n"
-    )
+    f = diverging_graph_file(tmp_path)
     monkeypatch.setenv("SANDMON_BUDGET", "7")
     rc, _, err = run(capsys, "stabilize", str(f), "--config", "u=2")
     assert rc == 1
     assert "within 7 steps" in err
+
+
+def test_bad_budgets_are_rejected(capsys, monkeypatch, tmp_path):
+    f = diverging_graph_file(tmp_path)
+    for env in ("lots", "1e3", "-1"):
+        monkeypatch.setenv("SANDMON_BUDGET", env)
+        rc, out, err = run(capsys, "stabilize", str(f), "--config", "u=2")
+        assert (rc, out) == (1, "")
+        assert err.startswith("error[BadParameters]"), env
+        # on a sandpile graph the budget is unused, but still checked
+        rc, out, err = run(capsys, "stabilize", graph_path("g_2_3.sg"),
+                           "--config", "x=5")
+        assert (rc, out) == (1, "")
+        assert err.startswith("error[BadParameters]"), env
+    # --budget wins over the environment, and is checked the same way
+    rc, _, err = run(capsys, "stabilize", str(f), "--config", "u=2",
+                     "--budget", "3")
+    assert rc == 1
+    assert "within 3 steps" in err
+    monkeypatch.delenv("SANDMON_BUDGET")
+    rc, out, err = run(capsys, "stabilize", str(f), "--config", "u=2",
+                       "--budget", "-2")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error[BadParameters]")
+
+
+def test_seed_option_is_gone(capsys):
+    for argv in (["check", graph_path("g_2_3.sg")], ["cycle-suite", "2,2,1"],
+                 ["realize", graph_path("g_2_3.sg")]):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--seed", "1"])
+        assert info.value.code == 2
 
 
 def test_byte_identical_reruns(capsys):

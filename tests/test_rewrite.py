@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sandmon import errors
 from sandmon.graph import (
@@ -11,6 +12,7 @@ from sandmon.graph import (
 )
 from sandmon.rewrite import (
     ReductionSystem,
+    StabilizationTrace,
     _closure_search,
     _stable_form,
     apply_steps,
@@ -40,6 +42,111 @@ def diverging_graph():
         ["u", "v"],
         [("u", "u", 2), ("u", "v", 2), ("u", "v", 2), ("v", "u", 2), ("v", "v", 2)],
     )
+
+
+def grid_graph(rows, cols):
+    """Each cell sends one grain to each of its four neighbours; boundary
+    cells send the grains of their missing neighbours to the sink."""
+    names = [f"r{i}c{j}" for i in range(rows) for j in range(cols)] + ["s"]
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                inside = 0 <= a < rows and 0 <= b < cols
+                edges.append((f"r{i}c{j}", f"r{a}c{b}" if inside else "s", 1))
+    return validate_sandpile(WeightedDigraph(names, edges))
+
+
+def reference_stabilize(g, c, sink_absorbing=False, budget=None):
+    """Oracle for the firing kernel: fire one vertex at a time, always the
+    lowest-index unstable one, emptying the sinks after every step when
+    ``sink_absorbing``.  Returns None when a vertex is still unstable after
+    ``budget`` steps."""
+    counts = list(c)
+    sinks = g.sinks()
+    weights = [(v, g.weight(v)) for v in g.regular_vertices()]
+    odometer = [0] * g.n_vertices
+    steps = 0
+    while True:
+        if sink_absorbing:
+            for s in sinks:
+                counts[s] = 0
+        for v, w in weights:
+            if counts[v] >= w:
+                break
+        else:
+            return StabilizationTrace(tuple(counts), tuple(odometer), steps)
+        if budget is not None and steps >= budget:
+            return None
+        counts[v] -= w
+        for t in g.out_targets[v]:
+            counts[t] += 1
+        odometer[v] += 1
+        steps += 1
+
+
+def assert_kernel_matches_reference(g, c):
+    """stabilize, _stable_form and the reference agree in both sink modes,
+    and the recorded firing sequence replays through topple_once."""
+    for sink_absorbing in (True, False):
+        trace = stabilize(g, c, sink_absorbing=sink_absorbing, record=True)
+        expected = reference_stabilize(g, c, sink_absorbing)
+        assert trace.result == expected.result
+        assert trace.odometer == expected.odometer
+        assert trace.steps == expected.steps == len(trace.fired)
+        assert _stable_form(g, c, sink_absorbing) == trace.result
+        replayed = c
+        for v in trace.fired:
+            replayed = topple_once(g, replayed, v)
+        if sink_absorbing:
+            replayed = tuple(0 if v == g.sink else k for v, k in enumerate(replayed))
+        assert replayed == trace.result
+
+
+def assert_partial_trace(g, c, budget, partial):
+    """A budget-exhausted trace spent exactly its budget, and its result is
+    the start plus the net effect of its odometer."""
+    assert partial.steps == budget == sum(partial.odometer)
+    expected = list(c)
+    for v, k in enumerate(partial.odometer):
+        if k:
+            expected[v] -= k * g.weight(v)
+            for t in g.out_targets[v]:
+                expected[t] += k
+    assert partial.result == tuple(expected)
+
+
+@st.composite
+def sandpile_cases(draw):
+    """A random sandpile graph on 2-7 vertices with the sink at a random
+    index, and a configuration on it."""
+    n = draw(st.integers(2, 7))
+    perm = draw(st.permutations(range(n)))
+    edges = []
+    for v in range(n - 1):
+        # one edge to a higher position lets every vertex reach the sink,
+        # which sits at the last position
+        edges.append((v, draw(st.integers(v + 1, n - 1))))
+        edges.extend((v, t) for t in draw(st.lists(st.integers(0, n - 1), max_size=3)))
+    g = validate_sandpile(WeightedDigraph(
+        [f"v{i}" for i in range(n)], [(perm[s], perm[t], 1) for s, t in edges]
+    ))
+    c = tuple(draw(st.lists(st.integers(0, 15), min_size=n, max_size=n)))
+    return g, c
+
+
+@st.composite
+def weighted_cases(draw):
+    """A random vertex weighted graph on 1-4 vertices (sinks, loops and
+    diverging firings allowed), a configuration and a step budget."""
+    n = draw(st.integers(1, 4))
+    edges = []
+    for v in range(n):
+        w = draw(st.integers(1, 3))
+        edges.extend((v, t, w) for t in draw(st.lists(st.integers(0, n - 1), max_size=4)))
+    g = WeightedDigraph([f"v{i}" for i in range(n)], edges)
+    c = tuple(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
+    return g, c, draw(st.integers(0, 80))
 
 
 def chain_graph():
@@ -120,10 +227,68 @@ def test_stabilize_trace_json():
 def test_stabilize_weighted_divergence():
     g = diverging_graph()
     c = config_from_counts(g, {"u": 2})
-    for budget in (2, 7, 100, 5000):
+    for budget in (0, 1, 2, 7, 100, 5000):
         with pytest.raises(errors.BudgetExhausted) as info:
             stabilize_weighted(g, c, step_budget=budget)
         assert info.value.partial.steps == budget
+        assert_partial_trace(g, c, budget, info.value.partial)
+
+
+def test_stabilize_weighted_rejects_negative_budget():
+    with pytest.raises(errors.BadParameters):
+        stabilize_weighted(diverging_graph(), (2, 0), step_budget=-1)
+    with pytest.raises(errors.BadParameters):
+        stabilize_weighted(rose_graph(1, 2), (0,), step_budget=-1)
+
+
+def test_stabilize_weighted_budget_is_exact():
+    """A configuration that needs exactly n steps stabilises with budget n
+    and exhausts budget n - 1."""
+    rose = rose_graph(1, 2)
+    assert stabilize_weighted(rose, (3,), step_budget=2).steps == 2
+    with pytest.raises(errors.BudgetExhausted) as info:
+        stabilize_weighted(rose, (3,), step_budget=1)
+    assert_partial_trace(rose, (3,), 1, info.value.partial)
+
+
+def test_kernel_matches_reference_on_corpus():
+    rng = random.Random(52)
+    for g in random_sandpile_corpus(count=40, seed=17):
+        for _ in range(3):
+            c = tuple(rng.randrange(0, 3 * g.n_vertices) for _ in range(g.n_vertices))
+            assert_kernel_matches_reference(g, c)
+
+
+def test_kernel_matches_reference_on_grids():
+    for rows, cols in [(1, 1), (1, 4), (2, 3), (3, 3), (4, 5), (6, 6), (7, 9),
+                       (10, 11), (12, 12)]:
+        g = grid_graph(rows, cols)
+        centre = g.index[f"r{rows // 2}c{cols // 2}"]
+        c = tuple(4 * rows * cols if v == centre else 0 for v in range(g.n_vertices))
+        assert_kernel_matches_reference(g, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sandpile_cases())
+def test_kernel_matches_reference_on_generated_sandpiles(case):
+    assert_kernel_matches_reference(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_cases())
+def test_weighted_kernel_matches_reference_on_generated_graphs(case):
+    g, c, budget = case
+    expected = reference_stabilize(g, c, budget=budget)
+    try:
+        trace = stabilize_weighted(g, c, step_budget=budget)
+    except errors.BudgetExhausted as exc:
+        assert expected is None
+        assert_partial_trace(g, c, budget, exc.partial)
+    else:
+        assert expected is not None
+        assert (trace.result, trace.odometer, trace.steps) == (
+            expected.result, expected.odometer, expected.steps
+        )
 
 
 def test_stabilize_weighted_terminating_cases():
