@@ -88,23 +88,22 @@ def cmd_stabilize(args) -> int:
     g, hint = _load_graph(args.graph)
     budget = _step_budget(args)
     config_text = args.config or ""
-    try:
-        sandpile = validate_sandpile(g, sink_hint=hint)
-    except errors.SandmonError:
-        sandpile = None
-    if sandpile is not None and args.mode != "free":
-        c = rewrite.parse_config(sandpile, config_text)
-        trace = rewrite.stabilize(sandpile, c, sink_absorbing=True)
-        used = sandpile
+    if args.mode == "sp":
+        used = validate_sandpile(g, sink_hint=hint)
+        c = rewrite.parse_config(used, config_text)
+        trace = rewrite.stabilize(used, c, sink_absorbing=True)
         mode = "sink-absorbing"
     else:
-        target = sandpile if sandpile is not None else g
-        c = rewrite.parse_config(target, config_text)
-        if sandpile is not None:
-            trace = rewrite.stabilize(sandpile, c, sink_absorbing=False)
+        # only free mode falls back to the general weighted firing
+        try:
+            used = validate_sandpile(g, sink_hint=hint)
+        except errors.SandmonError:
+            used = g
+        c = rewrite.parse_config(used, config_text)
+        if isinstance(used, SandpileGraph):
+            trace = rewrite.stabilize(used, c, sink_absorbing=False)
         else:
-            trace = rewrite.stabilize_weighted(target, c, step_budget=budget)
-        used = target
+            trace = rewrite.stabilize_weighted(used, c, step_budget=budget)
         mode = "free"
     payload = {"report": "stabilize", "mode": mode}
     payload.update(trace.to_json(used))
@@ -408,7 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("stabilize", cmd_stabilize, "stabilize a configuration")
     p.add_argument("--config", required=True, help="configuration, e.g. x=5,s=1")
     p.add_argument("--mode", choices=["sp", "free"], default="sp",
-                   help="sp absorbs sink grains, free retains them")
+                   help="sp absorbs sink grains and needs a sandpile graph;"
+                        " free retains them and works on any vertex weighted"
+                        " graph")
     p.add_argument("--budget", type=int, default=None,
                    help="step budget on graphs that need not stabilize"
                         " (default: SANDMON_BUDGET, else %d)"

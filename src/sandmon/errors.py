@@ -79,6 +79,11 @@ class NotSubmonoid(SandmonError):
     pass
 
 
+class CertificateFailed(SandmonError):
+    """A table failed the check that certifies a structure computed from it;
+    the table is not the monoid it claims to be."""
+
+
 class Inconclusive(SandmonError):
     """Enumeration could not finish within its caps.  Explicitly not a claim
     that the monoid is infinite."""

@@ -149,6 +149,21 @@ class SandpileGraph(WeightedDigraph):
         super().__init__(names, edges)
         self.sink = self._resolve(sink)
 
+    @classmethod
+    def _balanced(cls, g: WeightedDigraph, sink: int) -> SandpileGraph:
+        """``g`` with each edge weighted by its source's out-degree and no
+        carried weights, sharing g's resolved names and adjacency."""
+        sp = cls.__new__(cls)
+        sp.names = g.names
+        sp.index = g.index
+        sp.edges = tuple((s, r, len(g.out_edge_ids[s])) for s, r, _ in g.edges)
+        sp.carried_weights = {}
+        sp.out_edge_ids = g.out_edge_ids
+        sp.in_edge_ids = g.in_edge_ids
+        sp.out_targets = g.out_targets
+        sp.sink = sink
+        return sp
+
     @property
     def sink_name(self) -> str:
         return self.names[self.sink]
@@ -199,8 +214,7 @@ def validate_sandpile(g: WeightedDigraph, sink_hint=None) -> SandpileGraph:
     if stranded:
         raise errors.UnreachableSink(stranded)
 
-    balanced = [(s, r, len(g.out_edge_ids[s])) for (s, r, _) in g.edges]
-    return SandpileGraph(g.names, balanced, sink)
+    return SandpileGraph._balanced(g, sink)
 
 
 def reduce_graph(g: SandpileGraph) -> SandpileGraph:

@@ -22,7 +22,7 @@ from .rewrite import (
     reduction_system,
 )
 
-DEFAULT_SANDPILE_CAP = 10 ** 6
+DEFAULT_SANDPILE_CAP = 4096
 DEFAULT_WEIGHTED_CAP = 10 ** 4
 
 
@@ -221,34 +221,47 @@ class SmallestIdeal:
 
 def smallest_ideal(M: FiniteCommMonoid) -> SmallestIdeal:
     """Intersection of all translates a + M: the unique smallest ideal, which
-    is a group (for sandpile monoids, the recurrent elements)."""
-    n = len(M)
-    ideal = set(range(n))
-    for a in range(n):
-        row = M.add[a]
-        ideal &= {row[m] for m in range(n)}
-    assert ideal, "smallest ideal of a finite monoid is nonempty"
-    if n <= 256:
-        absorbing = {
-            a for a in range(n)
-            if all(any(M.add[b][c] == a for c in range(n)) for b in range(n))
-        }
-        assert ideal == absorbing
-    idempotents = [e for e in ideal if M.add[e][e] == e]
-    assert len(idempotents) == 1
-    z = idempotents[0]
+    is a group (for sandpile monoids, the recurrent elements).  Cached on M.
+
+    With s the sum of all elements, s + M lies inside every a + M, so the
+    intersection is the single translate s + M.  The result is certified:
+    its idempotent e satisfies e + M = s + M, and every ideal element has an
+    inverse with respect to e.  Then e + M is a group, so it lies inside
+    every ideal.  A table that fails the check raises CertificateFailed.
+    """
+    cached = M._cache.get("smallest_ideal")
+    if cached is not None:
+        return cached
+    add = M.add
+    s = M.zero
+    for a in range(len(M)):
+        s = add[s][a]
+    ideal = set(add[s])
     elements = sorted(ideal)
-    pos = {e: i for i, e in enumerate(elements)}
-    table = [[pos[M.add[x][y]] for y in elements] for x in elements]
+    e = next((x for x in elements if add[x][x] == x), None)
+    if e is None or set(add[e]) != ideal:
+        raise errors.CertificateFailed(
+            "the intersection of all translates is not e + M for an idempotent e"
+        )
+    pos = {x: i for i, x in enumerate(elements)}
+    try:
+        table = [[pos[add[x][y]] for y in elements] for x in elements]
+    except KeyError:
+        raise errors.CertificateFailed("the smallest ideal is not closed") from None
+    zero = pos[e]
+    if not all(zero in row for row in table):
+        raise errors.CertificateFailed(
+            f"an element of the smallest ideal has no inverse for {M.labels[e]}"
+        )
     group = FiniteCommMonoid(
         add=table,
-        zero=pos[z],
-        labels=[M.labels[e] for e in elements],
-        reps=[M.reps[e] for e in elements] if M.reps else None,
+        zero=zero,
+        labels=[M.labels[x] for x in elements],
+        reps=[M.reps[x] for x in elements] if M.reps else None,
     )
-    for x in range(len(elements)):
-        assert any(table[x][y] == group.zero for y in range(len(elements)))
-    return SmallestIdeal(elements=elements, identity=z, group=group)
+    result = SmallestIdeal(elements=elements, identity=e, group=group)
+    M._cache["smallest_ideal"] = result
+    return result
 
 
 def _prime_factors(n: int) -> list:
@@ -600,13 +613,22 @@ def classify_cyclic_sum(M: FiniteCommMonoid):
 def enumerate_sandpile_monoid(g: SandpileGraph,
                               cap: int = DEFAULT_SANDPILE_CAP) -> FiniteCommMonoid:
     """All stable configurations under add-then-stabilise with the sink
-    absorbing.  The size is exactly the product of the non-sink out-degrees."""
+    absorbing.  The size is exactly the product of the non-sink out-degrees.
+
+    Element x is the configuration whose mixed-radix digits (one per non-sink
+    vertex, out-degree as radix) spell x.  The table comes from the action
+    act[i][x] = stab(x + e_v) of each non-sink vertex v = non_sink[i]: row 0
+    is the identity, and x = x' + e_v with x' one grain less at the last
+    nonzero digit of x, so by the abelian property (Dhar 1990) row x is
+    act[i] applied to row x'.  That is |M|*n stabilisations, not |M|^2 / 2.
+    """
     non_sink = g.non_sink_vertices()
     radices = [g.out_degree(v) for v in non_sink]
     size = prod(radices)
     if size > cap:
         raise errors.SizeOverBudget(
             f"sandpile monoid has {size} elements, cap is {cap}"
+            " (raise it with --cap)"
         )
     nv = g.n_vertices
     places = [0] * len(non_sink)
@@ -627,20 +649,32 @@ def enumerate_sandpile_monoid(g: SandpileGraph,
             rem %= places[i]
         reps.append(tuple(config))
 
-    table = [[0] * size for _ in range(size)]
-    for i in range(size):
-        ri = reps[i]
-        for j in range(i, size):
-            total = tuple(a + b for a, b in zip(ri, reps[j]))
-            idx = encode(_stable_form(g, total, sink_absorbing=True))
-            table[i][j] = idx
-            table[j][i] = idx
+    # a grain that leaves digit i below its radix needs no firing
+    act = []
+    for i, v in enumerate(non_sink):
+        top = radices[i] - 1
+        row = []
+        for x, rep in enumerate(reps):
+            if rep[v] < top:
+                row.append(x + places[i])
+            else:
+                config = list(rep)
+                config[v] += 1
+                row.append(encode(_stable_form(g, config, sink_absorbing=True)))
+        act.append(row)
+
+    table = [list(range(size))]
+    last = len(non_sink) - 1
+    for x in range(1, size):
+        i = last
+        while not reps[x][non_sink[i]]:
+            i -= 1
+        step = act[i]
+        table.append([step[z] for z in table[x - places[i]]])
     labels = [format_element(g.names, rep) for rep in reps]
-    gens = {}
-    for v in range(nv):
-        e_v = tuple(1 if u == v else 0 for u in range(nv))
-        gens[g.names[v]] = encode(_stable_form(g, e_v, sink_absorbing=True))
-    assert len(reps) == size
+    # a grain on the sink is absorbed: that generator is zero
+    first = {v: row[0] for v, row in zip(non_sink, act)}
+    gens = {name: first.get(v, 0) for v, name in enumerate(g.names)}
     return FiniteCommMonoid(add=table, zero=0, labels=labels, reps=reps,
                             generators=gens)
 

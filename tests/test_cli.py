@@ -6,12 +6,14 @@ import pytest
 
 from sandmon import ktheory
 from sandmon.cli import main
+from sandmon.realize import named_examples, realization
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "sandmon" / "report.schema.json")
     .read_text(encoding="utf-8")
 )
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *args):
@@ -102,10 +104,32 @@ def test_stabilize_free_mode(capsys):
     assert payload["result"] == "x=2,s=3"
 
 
+def test_stabilize_sp_mode_needs_a_sandpile_graph(capsys, tmp_path):
+    rose = graph_path("rose_1_4.sg")
+    rc, out, err = run(capsys, "stabilize", rose, "--config", "v=3",
+                       "--mode", "sp", "--json")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error[NoSink]")
+    # sp is the default mode
+    rc, out, err = run(capsys, "stabilize", rose, "--config", "v=3")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error[NoSink]")
+    f = diverging_graph_file(tmp_path)
+    rc, out, err = run(capsys, "stabilize", str(f), "--config", "u=2",
+                       "--mode", "sp")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error[NoSink]")
+    # free mode still falls back to weighted firing
+    rc, payload, _ = run_json(capsys, "stabilize", rose, "--config", "v=3",
+                              "--mode", "free")
+    assert rc == 0
+    assert payload["mode"] == "free" and payload["result"] == "v=3"
+
+
 def test_stabilize_budget_exhaustion(capsys, tmp_path):
     f = diverging_graph_file(tmp_path)
     rc, _, err = run(capsys, "stabilize", str(f), "--config", "u=2",
-                     "--budget", "50")
+                     "--mode", "free", "--budget", "50")
     assert rc == 1
     assert "error[BudgetExhausted]" in err
 
@@ -213,6 +237,19 @@ def test_realize_golden_round_trip(capsys, tmp_path):
     assert "mismatch t" in out
 
 
+def test_realize_reports_match_the_committed_golden_files(capsys):
+    names = sorted(named_examples())
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == names
+    rc, out, _ = run(capsys, "realize", "--golden", str(GOLDEN))
+    assert rc == 0
+    assert out.splitlines() == [f"ok {name}" for name in names]
+    # byte for byte, not only as parsed JSON
+    for name, g in named_examples().items():
+        report = realization(g, name=name).to_json()
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert (GOLDEN / f"{name}.json").read_text(encoding="utf-8") == text, name
+
+
 def test_classify_report(capsys):
     rc, payload, _ = run_json(capsys, "classify", graph_path("cycle_2_2_1.sg"))
     assert rc == 0
@@ -257,7 +294,8 @@ def test_export_dot(capsys):
 def test_budget_env_override(capsys, monkeypatch, tmp_path):
     f = diverging_graph_file(tmp_path)
     monkeypatch.setenv("SANDMON_BUDGET", "7")
-    rc, _, err = run(capsys, "stabilize", str(f), "--config", "u=2")
+    rc, _, err = run(capsys, "stabilize", str(f), "--config", "u=2",
+                     "--mode", "free")
     assert rc == 1
     assert "within 7 steps" in err
 
@@ -266,7 +304,8 @@ def test_bad_budgets_are_rejected(capsys, monkeypatch, tmp_path):
     f = diverging_graph_file(tmp_path)
     for env in ("lots", "1e3", "-1"):
         monkeypatch.setenv("SANDMON_BUDGET", env)
-        rc, out, err = run(capsys, "stabilize", str(f), "--config", "u=2")
+        rc, out, err = run(capsys, "stabilize", str(f), "--config", "u=2",
+                           "--mode", "free")
         assert (rc, out) == (1, "")
         assert err.startswith("error[BadParameters]"), env
         # on a sandpile graph the budget is unused, but still checked
@@ -276,12 +315,12 @@ def test_bad_budgets_are_rejected(capsys, monkeypatch, tmp_path):
         assert err.startswith("error[BadParameters]"), env
     # --budget wins over the environment, and is checked the same way
     rc, _, err = run(capsys, "stabilize", str(f), "--config", "u=2",
-                     "--budget", "3")
+                     "--mode", "free", "--budget", "3")
     assert rc == 1
     assert "within 3 steps" in err
     monkeypatch.delenv("SANDMON_BUDGET")
     rc, out, err = run(capsys, "stabilize", str(f), "--config", "u=2",
-                       "--budget", "-2")
+                       "--mode", "free", "--budget", "-2")
     assert (rc, out) == (1, "")
     assert err.startswith("error[BadParameters]")
 

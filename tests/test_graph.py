@@ -1,3 +1,6 @@
+import random
+from pathlib import Path
+
 import pytest
 
 from sandmon import errors
@@ -22,6 +25,8 @@ from sandmon.graph import (
 )
 from sandmon.monoid import enumerate_sandpile_monoid, monoid_isomorphic
 from sandmon.realize import make_t_graph, random_sandpile_corpus
+
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
 
 def chain_graph():
@@ -265,3 +270,47 @@ def test_corpus_graphs_are_balanced_and_in_bounds():
     # determinism
     again = random_sandpile_corpus(count=60, seed=3)
     assert all(a == b for a, b in zip(corpus, again))
+
+
+def rebuilt_sandpile(g, sink):
+    """The construction validate_sandpile used to make: a fresh graph from
+    names and balanced edges, which resolves every edge again."""
+    balanced = [(s, r, len(g.out_edge_ids[s])) for (s, r, _) in g.edges]
+    return SandpileGraph(g.names, balanced, sink)
+
+
+def assert_same_sandpile(a, b):
+    for attr in ("names", "edges", "out_edge_ids", "in_edge_ids", "out_targets",
+                 "sink", "carried_weights"):
+        assert getattr(a, attr) == getattr(b, attr), attr
+    assert isinstance(a, SandpileGraph) and a == b
+
+
+def test_validate_sandpile_reuses_the_parsed_graph(monkeypatch):
+    rng = random.Random(5)
+    raw = []
+    not_sandpiles = []
+    for path in sorted(GRAPHS.glob("*.sg")):
+        g, hint = parse_graph(path.read_text(encoding="utf-8"))
+        try:
+            validate_sandpile(g, sink_hint=hint)
+        except errors.NoSink:
+            not_sandpiles.append(path.name)
+            continue
+        raw.append(g)
+    assert not_sandpiles == ["rose_1_4.sg"] and len(raw) == 4
+    for sp in random_sandpile_corpus(count=40):
+        # arbitrary weights and a carried weight, all replaced by validation
+        edges = [(s, r, rng.randint(1, 3)) for s, r, _ in sp.edges]
+        raw.append(WeightedDigraph(sp.names, edges, {0: rng.randint(1, 5)}))
+    validated = [validate_sandpile(g) for g in raw]
+    for g, sp in zip(raw, validated):
+        assert_same_sandpile(sp, rebuilt_sandpile(g, sp.sink))
+        assert sp.is_balanced()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validation constructed a graph")
+
+    monkeypatch.setattr(WeightedDigraph, "__init__", refuse)
+    for g, sp in zip(raw, validated):
+        assert validate_sandpile(g).edges == sp.edges

@@ -1,6 +1,13 @@
-import pytest
+import os
+import subprocess
+import sys
+from math import prod
+from pathlib import Path
 
-from sandmon import errors
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from sandmon import errors, monoid
 from sandmon.graph import (
     WeightedDigraph,
     loop_sink_graph,
@@ -10,7 +17,9 @@ from sandmon.graph import (
     validate_sandpile,
 )
 from sandmon.monoid import (
+    DEFAULT_SANDPILE_CAP,
     AbelianGroupInvariants,
+    FiniteCommMonoid,
     abelian_invariants,
     atoms,
     classify_cyclic_sum,
@@ -33,7 +42,10 @@ from sandmon.monoid import (
     units,
     verify_monoid,
 )
-from sandmon.realize import make_t_graph
+from sandmon.realize import make_t_graph, random_sandpile_corpus
+from sandmon.rewrite import _stable_form, format_element
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def diverging_graph():
@@ -346,3 +358,167 @@ def test_monoid_tables_verify_on_examples():
         direct_sum_of_cyclic([2, 4]),
     ]:
         verify_monoid(M)
+
+
+# ------------------------------------------- sandpile tables and their ideals
+
+
+def grid_graph(rows, cols):
+    """Each cell sends one grain to each of its four neighbours; boundary
+    cells send the grains of their missing neighbours to the sink."""
+    names = [f"r{i}c{j}" for i in range(rows) for j in range(cols)] + ["s"]
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                inside = 0 <= a < rows and 0 <= b < cols
+                edges.append((f"r{i}c{j}", f"r{a}c{b}" if inside else "s", 1))
+    return validate_sandpile(WeightedDigraph(names, edges))
+
+
+def complete_graph(n):
+    """K_n with the last vertex made the sink (its outgoing edges dropped)."""
+    names = [f"v{i}" for i in range(n - 1)] + ["s"]
+    edges = [(u, t, 1) for u in names[:-1] for t in names if t != u]
+    return validate_sandpile(WeightedDigraph(names, edges))
+
+
+def reference_sandpile_table(g):
+    """Oracle for enumerate_sandpile_monoid: add every unordered pair of
+    stable configurations and stabilise the sum.  Returns the table, the
+    representatives, the labels and the generator map."""
+    non_sink = g.non_sink_vertices()
+    radices = [g.out_degree(v) for v in non_sink]
+    size = prod(radices)
+    places = [prod(radices[i + 1:]) for i in range(len(non_sink))]
+
+    def encode(config):
+        return sum(config[v] * places[i] for i, v in enumerate(non_sink))
+
+    reps = []
+    for code in range(size):
+        config = [0] * g.n_vertices
+        for i, v in enumerate(non_sink):
+            config[v] = code // places[i] % radices[i]
+        reps.append(tuple(config))
+    table = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            total = tuple(a + b for a, b in zip(reps[i], reps[j]))
+            table[i][j] = table[j][i] = encode(_stable_form(g, total))
+    labels = [format_element(g.names, rep) for rep in reps]
+    gens = {
+        name: encode(_stable_form(g, tuple(int(u == v) for u in range(g.n_vertices))))
+        for v, name in enumerate(g.names)
+    }
+    return table, reps, labels, gens
+
+
+def assert_table_matches_reference(g):
+    M = enumerate_sandpile_monoid(g)
+    table, reps, labels, gens = reference_sandpile_table(g)
+    assert M.add == table
+    assert M.reps == reps
+    assert M.labels == labels
+    assert M.generators == gens
+    assert M.zero == 0
+
+
+@st.composite
+def small_sandpile_graphs(draw):
+    """A random sandpile graph on 2-6 vertices, the sink at a random index,
+    whose monoid has at most 256 elements."""
+    n = draw(st.integers(2, 6))
+    perm = draw(st.permutations(range(n)))
+    edges = []
+    for v in range(n - 1):
+        # one edge to a higher position lets every vertex reach the sink,
+        # which sits at the last position
+        edges.append((v, draw(st.integers(v + 1, n - 1))))
+        edges.extend((v, t) for t in draw(st.lists(st.integers(0, n - 1), max_size=4)))
+    g = validate_sandpile(WeightedDigraph(
+        [f"v{i}" for i in range(n)], [(perm[s], perm[t], 1) for s, t in edges]
+    ))
+    assume(prod(g.out_degree(v) for v in g.non_sink_vertices()) <= 256)
+    return g
+
+
+def test_sandpile_table_matches_pairwise_reference():
+    graphs = random_sandpile_corpus(count=40) + [
+        grid_graph(2, 2), grid_graph(1, 5), complete_graph(5),
+    ]
+    assert [len(enumerate_sandpile_monoid(g)) for g in graphs[-3:]] == [256, 1024, 256]
+    for g in graphs:
+        assert_table_matches_reference(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_sandpile_graphs())
+def test_sandpile_table_matches_reference_on_generated_graphs(g):
+    assert_table_matches_reference(g)
+
+
+def test_default_sandpile_cap(monkeypatch):
+    assert DEFAULT_SANDPILE_CAP == 4096
+
+    class BuildStarted(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise BuildStarted
+
+    monkeypatch.setattr(monoid, "_stable_form", refuse)
+    # 4^6 = 4096 elements: within the cap, so the build starts
+    with pytest.raises(BuildStarted):
+        enumerate_sandpile_monoid(grid_graph(2, 3))
+    # 4^7 elements: refused before any stabilisation, naming the flag
+    with pytest.raises(errors.SizeOverBudget, match="--cap"):
+        enumerate_sandpile_monoid(grid_graph(1, 7))
+
+
+def test_smallest_ideal_is_cached():
+    for M in [enumerate_sandpile_monoid(make_t_graph()), monogenic_monoid(2, 3)]:
+        assert smallest_ideal(M) is smallest_ideal(M)
+
+
+def corrupted_copy(M, a, b, value):
+    """M with the single table entry a + b replaced by ``value``."""
+    add = [list(row) for row in M.add]
+    add[a][b] = value
+    return FiniteCommMonoid(add=add, zero=M.zero, labels=list(M.labels),
+                            reps=M.reps)
+
+
+def test_smallest_ideal_certificate_can_fail():
+    # {0, x, 2x, 3x, 4x} with 5x = 2x: the ideal {2x, 3x, 4x} is Z/3 with
+    # identity 3x, and 2x + 4x = 3x is the only inverse pair for 2x in it
+    sp = enumerate_sandpile_monoid(loop_sink_graph(2, 3))
+    ideal = smallest_ideal(sp)
+    assert (ideal.elements, ideal.identity) == ([2, 3, 4], 3)
+    assert sp.add[2][4] == 3
+    broken = corrupted_copy(sp, 2, 4, 2)
+    with pytest.raises(errors.CertificateFailed, match="no inverse"):
+        smallest_ideal(broken)
+    # 3x + 3x = 4x leaves the ideal without an idempotent
+    with pytest.raises(errors.CertificateFailed):
+        smallest_ideal(corrupted_copy(sp, 3, 3, 4))
+
+
+def test_smallest_ideal_certificate_runs_without_asserts():
+    code = (
+        "from sandmon import errors\n"
+        "from sandmon.graph import loop_sink_graph\n"
+        "from sandmon.monoid import enumerate_sandpile_monoid, smallest_ideal\n"
+        "sp = enumerate_sandpile_monoid(loop_sink_graph(2, 3))\n"
+        "sp.add[2][4] = 2\n"
+        "try:\n"
+        "    smallest_ideal(sp)\n"
+        "except errors.CertificateFailed:\n"
+        "    print('CertificateFailed')\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), check=True,
+    )
+    assert out.stdout == "CertificateFailed\n"
