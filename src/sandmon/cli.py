@@ -8,6 +8,7 @@ for fixed inputs and flags; ``--json`` emits the machine readable report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -386,7 +387,11 @@ def cmd_export_dot(args) -> int:
 # --------------------------------------------------------------------- parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared, so callers must not
+    change it.  It holds no command functions: ``main`` looks up
+    ``cmd_<command>`` when it runs, so a rebound ``cmd_*`` is the one called."""
     parser = argparse.ArgumentParser(
         prog="sandmon",
         description="Sandpile and weighted graph monoids, their groups and"
@@ -394,17 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, graph_arg=True):
+    def add(name, help_text, graph_arg=True):
         p = sub.add_parser(name, help=help_text)
         if graph_arg:
             p.add_argument("graph", help="graph file in the text format")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.set_defaults(func=func)
         return p
 
-    add("check", cmd_check, "validate a sandpile graph")
+    add("check", "validate a sandpile graph")
 
-    p = add("stabilize", cmd_stabilize, "stabilize a configuration")
+    p = add("stabilize", "stabilize a configuration")
     p.add_argument("--config", required=True, help="configuration, e.g. x=5,s=1")
     p.add_argument("--mode", choices=["sp", "free"], default="sp",
                    help="sp absorbs sink grains and needs a sandpile graph;"
@@ -415,19 +419,19 @@ def build_parser() -> argparse.ArgumentParser:
                         " (default: SANDMON_BUDGET, else %d)"
                         % rewrite.DEFAULT_STEP_BUDGET)
 
-    p = add("monoid", cmd_monoid, "sandpile monoid report")
+    p = add("monoid", "sandpile monoid report")
     p.add_argument("--cap", type=int, default=None)
 
-    p = add("wmonoid", cmd_wmonoid, "weighted graph monoid report")
+    p = add("wmonoid", "weighted graph monoid report")
     p.add_argument("--variant", choices=["with-sinks", "no-sinks"],
                    default="with-sinks",
                    help="whether sinks contribute the relation sink = 0")
     p.add_argument("--cap", type=int, default=None)
 
-    p = add("group", cmd_group, "sandpile group via the smallest ideal")
+    p = add("group", "sandpile group via the smallest ideal")
     p.add_argument("--cap", type=int, default=None)
 
-    p = add("k0", cmd_k0, "cokernel invariants of the weight matrix")
+    p = add("k0", "cokernel invariants of the weight matrix")
     p.add_argument("--sandpile-group", action="store_true",
                    help="use the quotient by the no-cycle vertex set")
 
@@ -436,19 +440,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--golden", metavar="DIR",
                    help="write or compare canonical reports for the named examples")
-    p.set_defaults(func=cmd_realize)
 
-    add("classify", cmd_classify, "refinement structure and cyclic sum")
-    add("prime", cmd_prime, "prime order classification")
+    add("classify", "refinement structure and cyclic sum")
+    add("prime", "prime order classification")
 
     p = sub.add_parser("cycle-suite", help="three-way cycle monoid comparison")
     p.add_argument("weights", help="comma separated weights, e.g. 2,2,1")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_cycle_suite)
 
     p = sub.add_parser("export-dot", help="emit DOT")
     p.add_argument("graph")
-    p.set_defaults(func=cmd_export_dot, json=False)
+    p.set_defaults(json=False)
 
     return parser
 
@@ -458,8 +460,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "realize" and not args.golden and not args.graph:
         parser.error("realize needs a graph file or --golden DIR")
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except errors.GraphFormatError as exc:
         print(f"error[{exc.name}]: {exc}", file=sys.stderr)
         return 2

@@ -103,15 +103,14 @@ def verify_monoid(M: FiniteCommMonoid, exhaustive_limit: int = 64, samples: int 
 
 
 def units(M: FiniteCommMonoid) -> list:
-    """Elements with an additive inverse; they always form an abelian group."""
-    z = M.zero
-    n = len(M)
-    out = [a for a in range(n) if any(M.add[a][b] == z for b in range(n))]
-    unit_set = set(out)
-    for a in out:
-        for b in out:
-            assert M.add[a][b] in unit_set
-    return out
+    """Elements with an additive inverse.  In a commutative monoid they are
+    closed under addition ((a + b) + (a' + b') = 0), so they form an abelian
+    group.  Cached on M; the caller gets a fresh list."""
+    cached = M._cache.get("units")
+    if cached is None:
+        z = M.zero
+        cached = M._cache["units"] = [a for a, row in enumerate(M.add) if z in row]
+    return list(cached)
 
 
 def is_conical(M: FiniteCommMonoid) -> bool:
@@ -119,18 +118,24 @@ def is_conical(M: FiniteCommMonoid) -> bool:
 
 
 def atoms(M: FiniteCommMonoid) -> list:
-    """Nonzero elements with no decomposition into two nonzero parts."""
-    n = len(M)
-    z = M.zero
-    decomposable = set()
-    for a in range(n):
-        if a == z:
-            continue
-        row = M.add[a]
-        for b in range(n):
-            if b != z:
-                decomposable.add(row[b])
-    return [x for x in range(n) if x != z and x not in decomposable]
+    """Nonzero elements with no decomposition into two nonzero parts.
+    Cached on M; the caller gets a fresh list."""
+    cached = M._cache.get("atoms")
+    if cached is None:
+        n = len(M)
+        z = M.zero
+        decomposable = set()
+        for a in range(n):
+            if a == z:
+                continue
+            row = M.add[a]
+            for b in range(n):
+                if b != z:
+                    decomposable.add(row[b])
+        cached = M._cache["atoms"] = [
+            x for x in range(n) if x != z and x not in decomposable
+        ]
+    return list(cached)
 
 
 def _decomps(M: FiniteCommMonoid):
@@ -160,14 +165,9 @@ def _solutions(M: FiniteCommMonoid):
     return M._cache["solutions"]
 
 
-def refine_equation(M: FiniteCommMonoid, a: int, b: int, c: int, d: int):
-    """Search a 2x2 refinement of a + b = c + d: elements e1..e4 with
-    a = e1+e2, b = e3+e4, c = e1+e3, d = e2+e4.  Returns the quadruple or
-    None (exhaustive search, so None is a proof)."""
-    if M.add[a][b] != M.add[c][d]:
-        raise errors.BadParameters("sides of the equation differ")
-    sol = _solutions(M)
-    for e1 in range(len(M)):
+def _refine(add, sol, n: int, a: int, b: int, c: int, d: int):
+    """The search of refine_equation on a table, its solutions and its size."""
+    for e1 in range(n):
         e2s = sol[e1].get(a, ())
         if not e2s:
             continue
@@ -176,20 +176,30 @@ def refine_equation(M: FiniteCommMonoid, a: int, b: int, c: int, d: int):
             if not e4s:
                 continue
             for e2 in e2s:
-                row = M.add[e2]
+                row = add[e2]
                 for e4 in e4s:
                     if row[e4] == d:
                         return (e1, e2, e3, e4)
     return None
 
 
+def refine_equation(M: FiniteCommMonoid, a: int, b: int, c: int, d: int):
+    """Search a 2x2 refinement of a + b = c + d: elements e1..e4 with
+    a = e1+e2, b = e3+e4, c = e1+e3, d = e2+e4.  Returns the quadruple or
+    None (exhaustive search, so None is a proof)."""
+    if M.add[a][b] != M.add[c][d]:
+        raise errors.BadParameters("sides of the equation differ")
+    return _refine(M.add, _solutions(M), len(M), a, b, c, d)
+
+
 def is_refinement(M: FiniteCommMonoid):
     """Exhaustive refinement check.  Returns (True, None) or
     (False, (a, b, c, d)) with a witnessing equation."""
+    add, sol, n = M.add, _solutions(M), len(M)
     for pairs in _decomps(M):
         for i, (a, b) in enumerate(pairs):
             for c, d in pairs[i:]:
-                if refine_equation(M, a, b, c, d) is None:
+                if _refine(add, sol, n, a, b, c, d) is None:
                     return False, (a, b, c, d)
     return True, None
 
@@ -685,6 +695,13 @@ def enumerate_weighted_monoid(g: WeightedDigraph, sink_relations: bool = True,
     """Closure of the vertex generators under addition, with congruence
     decided through the completed firing rules.
 
+    The closure search visits the elements in discovery order and records
+    the action act[v][x] = nf(x + e_v) of every generator, plus the parent
+    (x', v) through which each new element x = nf(x' + e_v) was found.  Row
+    0 is the identity, and row x is act[v] applied to row x': normal forms
+    are canonical for the congruence, so nf(x + y) = nf(nf(x' + y) + e_v).
+    That is |M|*n normal forms, not |M|^2 / 2.
+
     ``sink_relations`` selects whether each sink is identified with zero.
     Raises Inconclusive (never "infinite") when the rule completion or the
     element count exceeds its cap; the partial element list is attached.
@@ -699,42 +716,43 @@ def enumerate_weighted_monoid(g: WeightedDigraph, sink_relations: bool = True,
         ) from None
     nv = g.n_vertices
     zero = (0,) * nv
-    gens = [tuple(1 if u == v else 0 for u in range(nv)) for v in range(nv)]
-    known = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for rep in frontier:
-            for gvec in gens:
-                cand = rs.normal_form(tuple(a + b for a, b in zip(rep, gvec)))
-                if cand not in known:
-                    if len(known) >= cap:
-                        labels = sorted(
-                            format_element(g.names, v)
-                            for v in known
-                        )
-                        raise errors.Inconclusive(
-                            f"more than {cap} elements discovered",
-                            partial_labels=labels,
-                        )
-                    known.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    elements = sorted(known, key=lambda v: (sum(v), v))
-    index = {v: i for i, v in enumerate(elements)}
-    size = len(elements)
-    table = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            nf = rs.normal_form(
-                tuple(a + b for a, b in zip(elements[i], elements[j]))
-            )
-            idx = index[nf]
-            table[i][j] = idx
-            table[j][i] = idx
+    # elements in discovery order, with the parent each was first reached
+    # from; the loop below also visits the elements it appends
+    found = [zero]
+    index = {zero: 0}
+    parent = [0]
+    parent_gen = [0]
+    act = [[] for _ in range(nv)]
+    for x, rep in enumerate(found):
+        for v in range(nv):
+            cand = rs.normal_form(rep[:v] + (rep[v] + 1,) + rep[v + 1:])
+            y = index.get(cand)
+            if y is None:
+                if len(found) >= cap:
+                    labels = sorted(format_element(g.names, u) for u in found)
+                    raise errors.Inconclusive(
+                        f"more than {cap} elements discovered",
+                        partial_labels=labels,
+                    )
+                y = index[cand] = len(found)
+                found.append(cand)
+                parent.append(x)
+                parent_gen.append(v)
+            act[v].append(y)
+    size = len(found)
+    order = sorted(range(size), key=lambda x: (sum(found[x]), found[x]))
+    pos = [0] * size
+    for i, x in enumerate(order):
+        pos[x] = i
+    # act in final indices, on both sides
+    act = [[pos[step[x]] for x in order] for step in act]
+    table = [None] * size
+    table[pos[0]] = list(range(size))
+    for x in range(1, size):
+        step = act[parent_gen[x]]
+        table[pos[x]] = [step[z] for z in table[pos[parent[x]]]]
+    elements = [found[x] for x in order]
     labels = [format_element(g.names, v) for v in elements]
-    gen_map = {
-        g.names[v]: index[rs.normal_form(gens[v])] for v in range(nv)
-    }
-    return FiniteCommMonoid(add=table, zero=index[zero], labels=labels,
+    gen_map = {g.names[v]: act[v][pos[0]] for v in range(nv)}
+    return FiniteCommMonoid(add=table, zero=pos[0], labels=labels,
                             reps=elements, generators=gen_map)

@@ -4,8 +4,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from sandmon import ktheory
-from sandmon.cli import main
+from sandmon import cli, ktheory
+from sandmon.cli import build_parser, main
 from sandmon.realize import named_examples, realization
 
 SCHEMA = json.loads(
@@ -340,3 +340,50 @@ def test_byte_identical_reruns(capsys):
     a = run(capsys, "monoid", graph_path("cycle_2_2_1.sg"), "--json")
     b = run(capsys, "monoid", graph_path("cycle_2_2_1.sg"), "--json")
     assert a == b
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+    # --help comes from the shared parser and matches a fresh build
+    assert build_parser().format_help() == build_parser.__wrapped__().format_help()
+
+
+def recorded_calls(monkeypatch, *names):
+    """Replace cmd_<name> with a recorder of its parsed arguments."""
+    calls = []
+    for name in names:
+        def record(args, name=name):
+            calls.append((name, dict(vars(args))))
+            return 0
+        monkeypatch.setattr(cli, f"cmd_{name}", record)
+    return calls
+
+
+def test_parser_keeps_no_state_between_calls(monkeypatch):
+    calls = recorded_calls(monkeypatch, "wmonoid", "stabilize")
+    path = graph_path("rose_1_4.sg")
+    main(["wmonoid", path, "--variant", "no-sinks", "--cap", "7", "--json"])
+    main(["stabilize", path, "--config", "v=3", "--mode", "free", "--budget", "2"])
+    main(["wmonoid", path])
+    main(["stabilize", path, "--config", "v=1"])
+    assert calls == [
+        ("wmonoid", {"command": "wmonoid", "graph": path, "variant": "no-sinks",
+                     "cap": 7, "json": True}),
+        ("stabilize", {"command": "stabilize", "graph": path, "config": "v=3",
+                       "mode": "free", "budget": 2, "json": False}),
+        ("wmonoid", {"command": "wmonoid", "graph": path, "variant": "with-sinks",
+                     "cap": None, "json": False}),
+        ("stabilize", {"command": "stabilize", "graph": path, "config": "v=1",
+                       "mode": "sp", "budget": None, "json": False}),
+    ]
+
+
+def test_main_calls_the_current_command_functions(capsys, monkeypatch):
+    # build the parser first, so that it exists before the rebinding
+    assert run(capsys, "check", graph_path("g_2_3.sg"))[0] == 0
+    calls = recorded_calls(monkeypatch, "check", "cycle_suite", "export_dot")
+    assert main(["check", graph_path("g_2_3.sg")]) == 0
+    assert main(["cycle-suite", "2,2,1"]) == 0
+    assert main(["export-dot", graph_path("g_2_3.sg")]) == 0
+    assert [name for name, _ in calls] == ["check", "cycle_suite", "export_dot"]
+    assert capsys.readouterr().out == ""

@@ -10,14 +10,18 @@ from hypothesis import assume, given, settings, strategies as st
 from sandmon import errors, monoid
 from sandmon.graph import (
     WeightedDigraph,
+    cycle_companion_sandpile,
+    cycle_companion_unweighted,
     loop_sink_graph,
     non_cycle_vertices,
     quotient_graph,
     rose_graph,
     validate_sandpile,
+    weighted_cycle_graph,
 )
 from sandmon.monoid import (
     DEFAULT_SANDPILE_CAP,
+    DEFAULT_WEIGHTED_CAP,
     AbelianGroupInvariants,
     FiniteCommMonoid,
     abelian_invariants,
@@ -42,8 +46,8 @@ from sandmon.monoid import (
     units,
     verify_monoid,
 )
-from sandmon.realize import make_t_graph, random_sandpile_corpus
-from sandmon.rewrite import _stable_form, format_element
+from sandmon.realize import make_t_graph, named_examples, random_sandpile_corpus
+from sandmon.rewrite import _stable_form, format_element, reduction_system
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -522,3 +526,172 @@ def test_smallest_ideal_certificate_runs_without_asserts():
         env=dict(os.environ, PYTHONPATH=path), check=True,
     )
     assert out.stdout == "CertificateFailed\n"
+
+
+# ------------------------------------------------- weighted tables and caches
+
+
+def reference_weighted_table(g, sink_relations, cap):
+    """Oracle for enumerate_weighted_monoid: the closure search by frontiers,
+    then the normal form of every unordered pair.  Returns the table, the
+    zero, the labels, the representatives and the generator map, or raises
+    Inconclusive with the labels discovered before the cap."""
+    rs = reduction_system(g, sink_relations, 4000)
+    nv = g.n_vertices
+    zero = (0,) * nv
+    gens = [tuple(1 if u == v else 0 for u in range(nv)) for v in range(nv)]
+    known = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for rep in frontier:
+            for gvec in gens:
+                cand = rs.normal_form(tuple(a + b for a, b in zip(rep, gvec)))
+                if cand not in known:
+                    if len(known) >= cap:
+                        raise errors.Inconclusive(
+                            f"more than {cap} elements discovered",
+                            partial_labels=sorted(
+                                format_element(g.names, v) for v in known
+                            ),
+                        )
+                    known.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    elements = sorted(known, key=lambda v: (sum(v), v))
+    index = {v: i for i, v in enumerate(elements)}
+    size = len(elements)
+    table = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            total = tuple(a + b for a, b in zip(elements[i], elements[j]))
+            table[i][j] = table[j][i] = index[rs.normal_form(total)]
+    labels = [format_element(g.names, v) for v in elements]
+    gen_map = {g.names[v]: index[rs.normal_form(gens[v])] for v in range(nv)}
+    return table, index[zero], labels, elements, gen_map
+
+
+def assert_weighted_matches_reference(g, sink_relations, cap=DEFAULT_WEIGHTED_CAP):
+    """Compare with the oracle; returns whether the monoid stayed under the
+    cap.  Above it, both must raise Inconclusive with the same labels."""
+    try:
+        expected = reference_weighted_table(g, sink_relations, cap)
+    except errors.Inconclusive as exc:
+        with pytest.raises(errors.Inconclusive) as info:
+            enumerate_weighted_monoid(g, sink_relations=sink_relations, cap=cap)
+        assert str(info.value) == str(exc)
+        assert info.value.partial_labels == exc.partial_labels
+        return False
+    M = enumerate_weighted_monoid(g, sink_relations=sink_relations, cap=cap)
+    assert (M.add, M.zero, M.labels, M.reps, M.generators) == expected
+    return True
+
+
+def test_weighted_table_matches_pairwise_reference():
+    corpus = random_sandpile_corpus(count=40)
+    outcomes = [assert_weighted_matches_reference(g, sr, cap=300)
+                for g in corpus for sr in (True, False)]
+    # without the sink relation the sink is a free generator: all capped
+    assert outcomes == [True, False] * 40
+    for g in corpus + list(named_examples().values()):
+        q = quotient_graph(g, non_cycle_vertices(g))
+        assert assert_weighted_matches_reference(q, False)
+    weights = [2, 2, 1]
+    for g in (weighted_cycle_graph(weights), cycle_companion_unweighted(weights)):
+        assert assert_weighted_matches_reference(g, False)
+    g = cycle_companion_sandpile(weights)
+    assert assert_weighted_matches_reference(g, True)
+    assert not assert_weighted_matches_reference(g, False, cap=200)
+    for petals, weight in [(1, 4), (2, 5), (3, 4), (4, 9)]:
+        for sr in (True, False):
+            assert assert_weighted_matches_reference(rose_graph(petals, weight), sr)
+    assert not assert_weighted_matches_reference(rose_graph(1, 1), True, cap=30)
+
+
+@st.composite
+def small_vertex_weighted_graphs(draw):
+    """A random vertex weighted graph on 1-5 vertices: each vertex has 0-4
+    out-edges (none makes it a sink), all of one weight near their count."""
+    n = draw(st.integers(1, 5))
+    names = [f"v{i}" for i in range(n)]
+    edges = []
+    for v in range(n):
+        targets = draw(st.lists(st.integers(0, n - 1), max_size=4))
+        if targets:
+            w = draw(st.integers(max(1, len(targets) - 1), len(targets) + 2))
+            edges.extend((names[v], names[t], w) for t in targets)
+    return WeightedDigraph(names, edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_vertex_weighted_graphs())
+def test_weighted_table_matches_reference_on_generated_graphs(g):
+    try:
+        reference_weighted_table(g, True, 200)
+    except errors.Inconclusive:
+        assume(False)
+    assert assert_weighted_matches_reference(g, True, cap=200)
+
+
+def test_weighted_table_uses_one_normal_form_per_element_and_generator(monkeypatch):
+    counts = []
+    real = monoid.reduction_system
+
+    def counting(*args):
+        rs = real(*args)
+        normal_form = rs.normal_form
+
+        def counted(vec):
+            counts.append(vec)
+            return normal_form(vec)
+
+        rs.normal_form = counted
+        return rs
+
+    monkeypatch.setattr(monoid, "reduction_system", counting)
+    g = cycle_companion_unweighted([2, 2, 2])
+    M = enumerate_weighted_monoid(g, sink_relations=False)
+    assert len(M) == 8
+    assert len(counts) == len(M) * g.n_vertices
+
+
+def test_units_are_a_group_on_the_corpus():
+    for g in random_sandpile_corpus(count=60):
+        sp = enumerate_sandpile_monoid(g)
+        unit_set = set(units(sp))
+        assert sp.zero in unit_set
+        for a in unit_set:
+            assert {sp.add[a][b] for b in unit_set} == unit_set
+        # and exactly the elements with an inverse
+        assert unit_set == {a for a in range(len(sp))
+                            if any(sp.add[a][b] == sp.zero for b in range(len(sp)))}
+
+
+def test_units_and_atoms_are_cached_copies():
+    M = enumerate_sandpile_monoid(loop_sink_graph(2, 3))
+    for predicate, expected in ((units, [0]), (atoms, [1])):
+        first = predicate(M)
+        assert first == expected
+        first.append(99)
+        assert predicate(M) == expected
+        assert predicate(M) is not predicate(M)
+    assert M._cache["units"] == [0] and M._cache["atoms"] == [1]
+
+
+def test_refinement_reads_its_tables_once(monkeypatch):
+    M = enumerate_sandpile_monoid(make_t_graph())
+    calls = []
+    real = monoid._solutions
+
+    def counted(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(monoid, "_solutions", counted)
+    ok, witness = is_refinement(M)
+    assert (ok, witness) == (False, (1, 3, 9, 18))
+    assert len(calls) == 1
+    # the public search agrees on the witness and still checks its input
+    assert refine_equation(M, *witness) is None
+    with pytest.raises(errors.BadParameters):
+        refine_equation(M, 1, 3, 1, 1)
