@@ -322,8 +322,7 @@ def _run_golden(args) -> int:
 def cmd_classify(args) -> int:
     g = _load_sandpile(args.graph)
     reduced = reduce_graph(g)
-    structure, witness = realize.refinement_structure(reduced)
-    sp = monoid.enumerate_sandpile_monoid(reduced)
+    structure, witness, sp = realize.classify_sandpile(reduced)
     cyclic = monoid.classify_cyclic_sum(sp)
     payload = {
         "report": "classify",

@@ -248,8 +248,11 @@ def non_cycle_vertices(g: WeightedDigraph) -> frozenset[int]:
     """Vertices from which no cycle (self-loops included) is reachable.
 
     The result is hereditary and saturated; for a sandpile graph it always
-    contains the sink.
+    contains the sink.  Cached on the (immutable) graph.
     """
+    cached = g.__dict__.get("_non_cycle_vertices")
+    if cached is not None:
+        return cached
     n = g.n_vertices
     on_cycle = set()
     for v in range(n):
@@ -275,6 +278,7 @@ def non_cycle_vertices(g: WeightedDigraph) -> frozenset[int]:
                 changed = True
     result = frozenset(range(n)) - reaches_cycle
     assert is_hereditary_saturated(g, result)
+    g._non_cycle_vertices = result
     return result
 
 
@@ -318,7 +322,9 @@ def quotient_graph(g: WeightedDigraph, subset) -> WeightedDigraph:
         if not g.out_edge_ids[v]:
             continue
         parent_weight = g.weight(v)
-        survivors = [w for (s, r, w) in g.edges if s == v and r not in H]
+        survivors = [
+            g.edges[e][2] for e in g.out_edge_ids[v] if g.edges[e][1] not in H
+        ]
         if not survivors or max(survivors) != parent_weight:
             carried[g.names[v]] = parent_weight
     return WeightedDigraph(names, edges, carried)
@@ -451,6 +457,7 @@ def parse_graph(text: str):
     sink hint (or None).
     """
     names = []
+    declared = set()
     edges = []
     sink_hint = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -462,9 +469,10 @@ def parse_graph(text: str):
         if kind == "vertex":
             if len(parts) != 2:
                 raise errors.GraphFormatError(f"line {lineno}: vertex takes one name")
-            if parts[1] in names:
+            if parts[1] in declared:
                 raise errors.GraphFormatError(f"line {lineno}: duplicate vertex {parts[1]!r}")
             names.append(parts[1])
+            declared.add(parts[1])
         elif kind == "edge":
             if len(parts) not in (3, 4):
                 raise errors.GraphFormatError(
@@ -481,7 +489,7 @@ def parse_graph(text: str):
                 if weight < 1:
                     raise errors.GraphFormatError(f"line {lineno}: weight must be >= 1")
             for endpoint in (parts[1], parts[2]):
-                if endpoint not in names:
+                if endpoint not in declared:
                     raise errors.GraphFormatError(
                         f"line {lineno}: undeclared vertex {endpoint!r}"
                     )
@@ -489,7 +497,7 @@ def parse_graph(text: str):
         elif kind == "sink":
             if len(parts) != 2:
                 raise errors.GraphFormatError(f"line {lineno}: sink takes one name")
-            if parts[1] not in names:
+            if parts[1] not in declared:
                 raise errors.GraphFormatError(f"line {lineno}: undeclared vertex {parts[1]!r}")
             sink_hint = parts[1]
         else:

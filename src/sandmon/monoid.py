@@ -151,36 +151,29 @@ def _decomps(M: FiniteCommMonoid):
     return M._cache["decomps"]
 
 
+class _SolutionRows(dict):
+    """solutions[u][t] lists all x with u + x = t, in increasing order.  Row
+    u is built when it is first read, as a search reads only some rows."""
+
+    def __init__(self, add):
+        super().__init__()
+        self.add = add
+
+    def __missing__(self, u):
+        row = self[u] = {}
+        for x, t in enumerate(self.add[u]):
+            if t in row:
+                row[t].append(x)
+            else:
+                row[t] = [x]
+        return row
+
+
 def _solutions(M: FiniteCommMonoid):
-    """solutions[u][t] lists all x with u + x = t."""
+    """The solution rows of M (see ``_SolutionRows``), cached on M."""
     if "solutions" not in M._cache:
-        n = len(M)
-        sol = [dict() for _ in range(n)]
-        for u in range(n):
-            row = M.add[u]
-            d = sol[u]
-            for x in range(n):
-                d.setdefault(row[x], []).append(x)
-        M._cache["solutions"] = sol
+        M._cache["solutions"] = _SolutionRows(M.add)
     return M._cache["solutions"]
-
-
-def _refine(add, sol, n: int, a: int, b: int, c: int, d: int):
-    """The search of refine_equation on a table, its solutions and its size."""
-    for e1 in range(n):
-        e2s = sol[e1].get(a, ())
-        if not e2s:
-            continue
-        for e3 in sol[e1].get(c, ()):
-            e4s = sol[e3].get(b, ())
-            if not e4s:
-                continue
-            for e2 in e2s:
-                row = add[e2]
-                for e4 in e4s:
-                    if row[e4] == d:
-                        return (e1, e2, e3, e4)
-    return None
 
 
 def refine_equation(M: FiniteCommMonoid, a: int, b: int, c: int, d: int):
@@ -189,19 +182,105 @@ def refine_equation(M: FiniteCommMonoid, a: int, b: int, c: int, d: int):
     None (exhaustive search, so None is a proof)."""
     if M.add[a][b] != M.add[c][d]:
         raise errors.BadParameters("sides of the equation differ")
-    return _refine(M.add, _solutions(M), len(M), a, b, c, d)
+    return _refine(M.add, _solutions(M), _decomps(M)[a], b, c, d)
+
+
+def _refine(add, sol, splits, b: int, c: int, d: int):
+    """The search of refine_equation for a + b = c + d, where ``splits``
+    lists the unordered decompositions (p, q) of a.  Swapping c and d
+    transposes a refinement, so each split is tried both ways round as
+    (e1, e2) with a = e1 + e2, and the search needs b = e3 + e4 with
+    c = e1 + e3 and d = e2 + e4."""
+    for p, q in splits:
+        for e1, e2 in ((p, q), (q, p)) if p != q else ((p, q),):
+            e3s = sol[e1].get(c)
+            if not e3s:
+                continue
+            e4s = sol[e2].get(d)
+            if not e4s:
+                continue
+            for e3 in e3s:
+                row = add[e3]
+                for e4 in e4s:
+                    if row[e4] == b:
+                        return e1, e2, e3, e4
+    return None
+
+
+def _smaller_split(decomps, a: int, b: int):
+    """(the decompositions of a, b), or of b and a when b has fewer: the
+    split that a search of a + b = c + d tries."""
+    if len(decomps[b]) < len(decomps[a]):
+        return decomps[b], a
+    return decomps[a], b
+
+
+def _generator_indices(M: FiniteCommMonoid) -> list:
+    """The nonzero values of ``M.generators`` when adding them to zero again
+    and again reaches every element, else ``_generating_set(M)``."""
+    n, add = len(M), M.add
+    gens = sorted({g for g in (M.generators or {}).values()
+                   if isinstance(g, int) and 0 <= g < n} - {M.zero})
+    reached = {M.zero}
+    frontier = [M.zero]
+    while frontier:
+        row = add[frontier.pop()]
+        for g in gens:
+            y = row[g]
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return gens if len(reached) == n else _generating_set(M)
 
 
 def is_refinement(M: FiniteCommMonoid):
     """Exhaustive refinement check.  Returns (True, None) or
-    (False, (a, b, c, d)) with a witnessing equation."""
-    add, sol, n = M.add, _solutions(M), len(M)
-    for pairs in _decomps(M):
-        for i, (a, b) in enumerate(pairs):
-            for c, d in pairs[i:]:
-                if _refine(add, sol, n, a, b, c, d) is None:
-                    return False, (a, b, c, d)
+    (False, (a, b, c, d)) with a witnessing equation: the first equation
+    with no refinement when the sums c + d, then the pairs of
+    ``_decomps(M)[c + d]``, are taken in index order.
+
+    It suffices that every x + y = c + d with x in a generating set X
+    refines.  By induction on the length of a1 as a sum of generators:
+    write a1 = x + a1', refine x + (a1' + a2) = b1 + b2 into x = p + q,
+    a1' + a2 = r + s, b1 = p + r, b2 = q + s, and refine a1' + a2 = r + s
+    into t11, t12, t21, t22; then [[p + t11, q + t12], [t21, t22]] refines
+    a1 + a2 = b1 + b2.  Those equations are checked in order of their sum.
+    Only when one of them fails are all equations scanned for the first
+    witness, and only up to that sum, where the failing equation itself
+    lies (up to swapping sides).
+    """
+    add, sol, decomps = M.add, _solutions(M), _decomps(M)
+    gens = _generator_indices(M)
+    for t, pairs in enumerate(decomps):
+        for x in gens:
+            for y in sol[x].get(t, ()):
+                splits, other = _smaller_split(decomps, x, y)
+                for c, d in pairs:
+                    if _refine(add, sol, splits, other, c, d) is None:
+                        return False, _first_witness(add, sol, decomps, set(gens), t)
     return True, None
+
+
+def _first_witness(add, sol, decomps, gens, last: int):
+    """The first equation a + b = c + d, with (a, b) before or equal to
+    (c, d) in ``decomps[a + b]`` and a + b at most ``last``, that has no
+    refinement.  Below ``last`` the equations that contain a generator
+    refine, as the generator pass has checked them, so they are skipped."""
+    for t, pairs in enumerate(decomps[:last + 1]):
+        checked = gens if t < last else ()
+        for i, (a, b) in enumerate(pairs):
+            if a in checked or b in checked:
+                continue
+            splits, other = _smaller_split(decomps, a, b)
+            for c, d in pairs[i:]:
+                if c in checked or d in checked:
+                    continue
+                if _refine(add, sol, splits, other, c, d) is None:
+                    return a, b, c, d
+    raise errors.CertificateFailed(
+        "a generator equation has no refinement, but every equation up to"
+        " its sum refines"
+    )
 
 
 def is_atom_cancellative(M: FiniteCommMonoid):

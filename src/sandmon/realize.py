@@ -165,6 +165,16 @@ def refinement_structure(g: SandpileGraph):
     Returns (RefinementStructure, None) on success, (None, witness) with a
     refinement counterexample otherwise.
     """
+    structure, witness, _ = classify_sandpile(g)
+    return structure, witness
+
+
+def classify_sandpile(g: SandpileGraph):
+    """``refinement_structure(g)`` together with the sandpile monoid it
+    enumerated: (structure, witness, monoid).  NotReduced and NotConical
+    are raised before the enumeration.  A refinement verdict on a graph
+    that is not a disjoint union of cycles draining into the sink raises
+    CertificateFailed."""
     if not g.is_reduced():
         raise errors.NotReduced("graph has irrelevant vertices; reduce it first")
     conical, witnesses = conicality_report(g)
@@ -173,16 +183,21 @@ def refinement_structure(g: SandpileGraph):
     sp = enumerate_sandpile_monoid(g)
     ok, witness = is_refinement(sp)
     if not ok:
-        return None, tuple(sp.labels[w] for w in witness)
+        return None, tuple(sp.labels[w] for w in witness), sp
     successor = {}
     for v in g.non_sink_vertices():
         away = [t for t in g.out_targets[v] if t != g.sink]
-        assert len(away) == 1, (
-            "refinement sandpile graph must send exactly one edge per vertex "
-            "away from the sink"
-        )
+        if len(away) != 1:
+            raise errors.CertificateFailed(
+                f"refinement sandpile graph sends {len(away)} edges from"
+                f" {g.names[v]} away from the sink, not exactly one"
+            )
         successor[v] = away[0]
-    assert sorted(successor.values()) == sorted(successor)
+    if sorted(successor.values()) != sorted(successor):
+        raise errors.CertificateFailed(
+            "refinement sandpile graph: the edges away from the sink do not"
+            " permute the non-sink vertices"
+        )
     classes = []
     seen = set()
     for v in sorted(successor):
@@ -201,7 +216,7 @@ def refinement_structure(g: SandpileGraph):
         classes=[[g.names[v] for v in cycle] for cycle in classes],
         orders=orders,
     )
-    return structure, None
+    return structure, None, sp
 
 
 # ----------------------------------------------------------------- prime order

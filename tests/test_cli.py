@@ -4,9 +4,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from sandmon import cli, ktheory
+from sandmon import cli, ktheory, monoid, realize
 from sandmon.cli import build_parser, main
-from sandmon.realize import named_examples, realization
+from sandmon.graph import graph_to_text
+from sandmon.realize import named_examples, random_sandpile_corpus, realization
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "sandmon" / "report.schema.json")
@@ -261,6 +262,42 @@ def test_classify_report(capsys):
     assert rc == 0
     assert payload["refinement"] is False
     assert payload["witness"] is not None
+
+
+def count_sandpile_enumerations(monkeypatch):
+    """Count enumerate_sandpile_monoid calls from the CLI and realize."""
+    calls = []
+    real = monoid.enumerate_sandpile_monoid
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(monoid, "enumerate_sandpile_monoid", counted)
+    monkeypatch.setattr(realize, "enumerate_sandpile_monoid", counted)
+    return calls
+
+
+def test_classify_enumerates_the_monoid_once(capsys, monkeypatch, tmp_path):
+    calls = count_sandpile_enumerations(monkeypatch)
+    paths = [graph_path(name) for name in ("cycle_2_2_1.sg", "g_2_3.sg", "t.sg",
+                                           "prime_z5.sg")]
+    for i, g in enumerate(random_sandpile_corpus(count=30)):
+        path = tmp_path / f"corpus_{i}.sg"
+        path.write_text(graph_to_text(g), encoding="utf-8")
+        paths.append(str(path))
+    outcomes = []
+    for path in paths:
+        del calls[:]
+        rc, _, err = run(capsys, "classify", path, "--json")
+        outcomes.append(rc)
+        if rc == 0:
+            assert len(calls) == 1, path
+        else:
+            # NotReduced and NotConical come before any enumeration
+            assert err.startswith(("error[NotConical]", "error[NotReduced]")), err
+            assert calls == [], path
+    assert outcomes[3] == 1 and outcomes.count(0) >= 10
 
 
 def test_prime_report(capsys):

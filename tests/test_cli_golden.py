@@ -1,13 +1,14 @@
-"""Byte-for-byte pins of the ``monoid`` and ``wmonoid`` reports and of the
-``--help`` texts.
+"""Byte-for-byte pins of the ``monoid``, ``wmonoid``, ``classify`` and
+``k0 --sandpile-group`` reports and of the ``--help`` texts.
 
 Each file in ``tests/golden/cli/`` is the transcript of ``sandmon``
 invocations: for each, the command line, the exit code, then stdout and
 stderr verbatim.  There is one file per ``--json`` report on a
 ``graphs/*.sg`` file, and ``help.txt`` holds ``--help`` for the program and
 every subcommand at 80 columns, in the wording of argparse on Python
-3.10 to 3.12 (3.13 lays out usage lines differently).  Error outcomes (``Inconclusive``,
-``error[NoSink]``) are pinned like any other.  ``wmonoid`` runs with
+3.10 to 3.12 (3.13 lays out usage lines differently).  Error outcomes
+(``Inconclusive``, ``error[NoSink]``, ``error[NotConical]``) are pinned
+like any other.  ``wmonoid`` runs with
 ``--cap 1000``: on the infinite no-sinks monoid of ``cycle_2_2_1`` the
 normal forms grow with the element count, and the default cap of 10**4
 takes most of a minute there instead of under a second.  After a deliberate report
@@ -34,6 +35,8 @@ COMMANDS = {
     "monoid": ("monoid",),
     "wmonoid-with-sinks": ("wmonoid", "--variant", "with-sinks", "--cap", "1000"),
     "wmonoid-no-sinks": ("wmonoid", "--variant", "no-sinks", "--cap", "1000"),
+    "classify": ("classify",),
+    "k0-sandpile-group": ("k0", "--sandpile-group"),
 }
 SUBCOMMANDS = ("check", "stabilize", "monoid", "wmonoid", "group", "k0", "realize",
                "classify", "prime", "cycle-suite", "export-dot")

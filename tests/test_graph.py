@@ -250,6 +250,21 @@ def test_parse_errors(text):
         parse_graph(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("vertex a\nvertex s\n# note\nvertex a\n", "line 4: duplicate vertex 'a'"),
+    ("vertex a\n\nedge b a\n", "line 3: undeclared vertex 'b'"),
+    ("vertex a\nedge a a\nedge a b w=2\n", "line 3: undeclared vertex 'b'"),
+    ("vertex a\nedge c d\n", "line 2: undeclared vertex 'c'"),
+    ("vertex a\nvertex s\nsink t  # hint\n", "line 3: undeclared vertex 't'"),
+    ("edge a a\nvertex a\n", "line 1: undeclared vertex 'a'"),
+    ("sink s\nvertex s\n", "line 1: undeclared vertex 's'"),
+])
+def test_parse_error_messages_name_the_line_and_vertex(text, message):
+    with pytest.raises(errors.GraphFormatError) as info:
+        parse_graph(text)
+    assert str(info.value) == message
+
+
 def test_dot_export():
     dot = graph_to_dot(loop_sink_graph(1, 2))
     assert '"s" [peripheries=2];' in dot

@@ -13,6 +13,7 @@ from sandmon.graph import (
     cycle_companion_sandpile,
     cycle_companion_unweighted,
     loop_sink_graph,
+    multi_cycle_sandpile,
     non_cycle_vertices,
     quotient_graph,
     rose_graph,
@@ -695,3 +696,148 @@ def test_refinement_reads_its_tables_once(monkeypatch):
     assert refine_equation(M, *witness) is None
     with pytest.raises(errors.BadParameters):
         refine_equation(M, 1, 3, 1, 1)
+
+
+# ------------------------------------------------------- refinement by generators
+
+
+def reference_is_refinement(M):
+    """Oracle for is_refinement: every equation a + b = c + d, by sum and
+    then with (a, b) no later than (c, d) among the pairs of that sum, with
+    e1 of a refinement searched over all elements."""
+    n, add = len(M), M.add
+    sol = [{} for _ in range(n)]
+    for u in range(n):
+        for x in range(n):
+            sol[u].setdefault(add[u][x], []).append(x)
+    by_sum = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            by_sum[add[a][b]].append((a, b))
+
+    def refines(a, b, c, d):
+        return any(
+            add[e2][e4] == d
+            for e1 in range(n)
+            for e2 in sol[e1].get(a, ())
+            for e3 in sol[e1].get(c, ())
+            for e4 in sol[e3].get(b, ())
+        )
+
+    for pairs in by_sum:
+        for i, (a, b) in enumerate(pairs):
+            for c, d in pairs[i:]:
+                if not refines(a, b, c, d):
+                    return False, (a, b, c, d)
+    return True, None
+
+
+def with_generators(M, generators):
+    """M with a fresh cache and another ``generators`` map."""
+    return FiniteCommMonoid(add=M.add, zero=M.zero, labels=M.labels, reps=M.reps,
+                            generators=generators)
+
+
+def assert_refinement_matches_reference(M):
+    expected = reference_is_refinement(M)
+    assert is_refinement(M) == expected
+    # the generators map only chooses the equations that are checked; in a
+    # direct sum, element 1 lies in the second summand alone, so its
+    # equations all refine when that summand is a refinement monoid
+    n = len(M)
+    for generators in [None, {"x": 1}, {"x": n - 1}, {"x": M.zero, "y": n + 3},
+                       {str(x): x for x in range(n)}]:
+        assert is_refinement(with_generators(M, generators)) == expected
+
+
+def two_cycle_unions():
+    """Unions of two cycles whose sandpile monoids have 128 elements."""
+    return [multi_cycle_sandpile(classes) for classes in
+            ([[2, 2, 2], [4, 2, 2]], [[2, 4], [4, 4]], [[8], [2, 2, 2, 2]])]
+
+
+def test_refinement_matches_reference_on_the_corpus():
+    verdicts = set()
+    for g in random_sandpile_corpus():
+        sp = enumerate_sandpile_monoid(g)
+        assert_refinement_matches_reference(sp)
+        verdicts.add(is_refinement(sp)[0])
+        for q, sink_relations in [(g, True),
+                                  (quotient_graph(g, non_cycle_vertices(g)), False)]:
+            try:
+                M = enumerate_weighted_monoid(q, sink_relations=sink_relations, cap=300)
+            except errors.Inconclusive:
+                continue
+            assert_refinement_matches_reference(M)
+    assert verdicts == {True, False}
+
+
+def test_refinement_matches_reference_on_cycle_unions():
+    for g in two_cycle_unions():
+        M = enumerate_sandpile_monoid(g)
+        assert len(M) == 128
+        assert is_refinement(M) == reference_is_refinement(M) == (True, None)
+
+
+def test_refinement_matches_reference_on_cyclic_and_monogenic_sums():
+    monoids = [direct_sum_of_cyclic(orders)
+               for orders in ([2, 3], [3, 4], [2, 2, 3], [5, 6])]
+    monoids += [monogenic_monoid(i, p) for i in range(4) for p in range(1, 5)]
+    monoids += [direct_sum(monogenic_monoid(2, 3), cyclic_monoid(3)),
+                direct_sum(cyclic_group_monoid(2), cyclic_monoid(4)),
+                direct_sum(monogenic_monoid(1, 2), monogenic_monoid(3, 2))]
+    verdicts = set()
+    for M in monoids:
+        assert_refinement_matches_reference(M)
+        verdicts.add(is_refinement(M)[0])
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_sandpile_graphs())
+def test_refinement_matches_reference_on_generated_graphs(g):
+    M = enumerate_sandpile_monoid(g)
+    assert is_refinement(M) == reference_is_refinement(M)
+
+
+def test_refinement_searches_only_generator_equations(monkeypatch):
+    M = enumerate_sandpile_monoid(two_cycle_unions()[0])
+    searches = []
+    real = monoid._refine
+
+    def counted(*args):
+        searches.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(monoid, "_refine", counted)
+    assert is_refinement(M) == (True, None)
+    decomps = monoid._decomps(M)
+    gens = sorted(set(M.generators.values()) - {M.zero})
+    assert len(gens) == 6
+    # one search per equation x + a = c + d: 54,144 of the 316,096 equations
+    assert len(searches) == sum(len(decomps[t]) for x in gens for t in M.add[x]) == 54144
+    assert sum(len(p) * (len(p) + 1) // 2 for p in decomps) == 316096
+
+
+def test_refine_equation_returns_a_refinement_exactly_when_one_exists():
+    for M in [direct_sum_of_cyclic([2, 3]), monogenic_monoid(2, 3),
+              enumerate_sandpile_monoid(loop_sink_graph(1, 2))]:
+        n, add = len(M), M.add
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    for d in range(n):
+                        if add[a][b] != add[c][d]:
+                            continue
+                        exists = any(
+                            add[e1][e2] == a and add[e3][e4] == b
+                            and add[e1][e3] == c and add[e2][e4] == d
+                            for e1 in range(n) for e2 in range(n)
+                            for e3 in range(n) for e4 in range(n)
+                        )
+                        found = refine_equation(M, a, b, c, d)
+                        assert (found is not None) == exists
+                        if found is not None:
+                            e1, e2, e3, e4 = found
+                            assert (add[e1][e2], add[e3][e4], add[e1][e3],
+                                    add[e2][e4]) == (a, b, c, d)

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from sandmon import errors
+from sandmon import errors, realize
 from sandmon.graph import (
     WeightedDigraph,
     loop_sink_graph,
@@ -16,6 +21,7 @@ from sandmon.monoid import (
     units,
 )
 from sandmon.realize import (
+    classify_sandpile,
     conicality_report,
     cycle_suite,
     make_t_graph,
@@ -25,6 +31,9 @@ from sandmon.realize import (
     realization,
     refinement_structure,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def zp_graph(p):
@@ -125,6 +134,63 @@ def test_refinement_structure_preconditions():
         refinement_structure(chain)
     with pytest.raises(errors.NotConical):
         refinement_structure(zp_graph(3))
+
+
+def test_refinement_structure_preconditions_come_before_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(realize, "enumerate_sandpile_monoid", refuse)
+    chain = validate_sandpile(WeightedDigraph(
+        ["a", "b", "s"], [("a", "b", 1), ("b", "s", 1)]
+    ))
+    with pytest.raises(errors.NotReduced):
+        classify_sandpile(chain)
+    with pytest.raises(errors.NotConical):
+        classify_sandpile(zp_graph(3))
+
+
+def test_classify_sandpile_returns_the_monoid_it_checked():
+    g = multi_cycle_sandpile([[2, 2], [3, 2, 2]])
+    structure, witness, sp = classify_sandpile(g)
+    assert (structure, witness) == refinement_structure(g)
+    assert len(sp) == 48 and sp.labels == enumerate_sandpile_monoid(g).labels
+
+
+# Graphs whose monoid is not refinement, so that the cycle structure checks
+# are reached only with is_refinement stubbed to say it is: the t graph sends
+# two edges from u away from the sink; in the other graph a and b both send
+# their one edge away from the sink to b, which is no permutation.
+STRUCTURE_FAILURES = {
+    "t": ("make_t_graph()", "sends 2 edges from u away from the sink"),
+    "merge": (
+        "validate_sandpile(WeightedDigraph(['a', 'b', 's'], [('a', 'b', 1),"
+        " ('a', 's', 1), ('b', 'b', 1), ('b', 's', 1)]))",
+        "do not permute the non-sink vertices",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_FAILURES))
+def test_refinement_structure_checks_run_without_asserts(name):
+    graph, message = STRUCTURE_FAILURES[name]
+    code = (
+        "from sandmon import errors, realize\n"
+        "from sandmon.graph import WeightedDigraph, validate_sandpile\n"
+        "from sandmon.realize import make_t_graph\n"
+        "realize.is_refinement = lambda M: (True, None)\n"
+        f"g = {graph}\n"
+        "try:\n"
+        "    realize.refinement_structure(g)\n"
+        "except errors.CertificateFailed as exc:\n"
+        "    print(exc)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120,
+    )
+    assert message in out.stdout
 
 
 def test_prime_order_case_grid():
