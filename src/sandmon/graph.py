@@ -247,37 +247,23 @@ def reduce_graph(g: SandpileGraph) -> SandpileGraph:
 def non_cycle_vertices(g: WeightedDigraph) -> frozenset[int]:
     """Vertices from which no cycle (self-loops included) is reachable.
 
-    The result is hereditary and saturated; for a sandpile graph it always
-    contains the sink.  Cached on the (immutable) graph.
+    These are peeled off from the sinks: a vertex joins once the targets of
+    all its out-edges, parallel edges counted, have joined.  The result is
+    hereditary and saturated; for a sandpile graph it always contains the
+    sink.  Cached on the (immutable) graph.
     """
     cached = g.__dict__.get("_non_cycle_vertices")
     if cached is not None:
         return cached
-    n = g.n_vertices
-    on_cycle = set()
-    for v in range(n):
-        seen = set()
-        frontier = [t for t in g.out_targets[v]]
-        while frontier:
-            u = frontier.pop()
-            if u == v:
-                on_cycle.add(v)
-                break
-            if u in seen:
-                continue
-            seen.add(u)
-            frontier.extend(g.out_targets[u])
-    # vertices that reach a cycle vertex
-    reaches_cycle = set(on_cycle)
-    changed = True
-    while changed:
-        changed = False
-        for s, r, _ in g.edges:
-            if r in reaches_cycle and s not in reaches_cycle:
-                reaches_cycle.add(s)
-                changed = True
-    result = frozenset(range(n)) - reaches_cycle
-    assert is_hereditary_saturated(g, result)
+    pending = [len(targets) for targets in g.out_targets]
+    joined = [v for v, k in enumerate(pending) if not k]
+    for u in joined:
+        for eid in g.in_edge_ids[u]:
+            s = g.edges[eid][0]
+            pending[s] -= 1
+            if not pending[s]:
+                joined.append(s)
+    result = frozenset(joined)
     g._non_cycle_vertices = result
     return result
 

@@ -8,7 +8,6 @@ exhaustive, so a negative answer at this scale is a proof.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from math import prod
@@ -67,10 +66,12 @@ class FiniteCommMonoid:
         return "{" + ", ".join(self.labels) + "}"
 
 
-def verify_monoid(M: FiniteCommMonoid, exhaustive_limit: int = 64, samples: int = 2000,
-                  rng=None):
-    """Spot-check the table axioms: identity, commutativity, associativity
-    (exhaustive up to the limit, randomized above)."""
+def verify_monoid(M: FiniteCommMonoid):
+    """Check the table axioms exactly: identity, commutativity and
+    associativity.  Associativity uses Light's test: (x + g) + y equals
+    x + (g + y) for every generator g and all x, y.  The elements b that
+    pass for all x, y are closed under addition, so passing on a generating
+    set means passing everywhere."""
     n = len(M)
     add = M.add
     z = M.zero
@@ -81,22 +82,13 @@ def verify_monoid(M: FiniteCommMonoid, exhaustive_limit: int = 64, samples: int 
         for b in range(a + 1, n):
             if add[a][b] != add[b][a]:
                 raise ValueError(f"not commutative at ({a}, {b})")
-    if n <= exhaustive_limit:
-        for a in range(n):
-            for b in range(n):
-                ab = add[a][b]
-                row_a = add[a]
-                for c in range(n):
-                    if add[ab][c] != row_a[add[b][c]]:
-                        raise ValueError(f"not associative at ({a}, {b}, {c})")
-    else:
-        import random
-
-        rng = rng or random.Random(0)
-        for _ in range(samples):
-            a, b, c = (rng.randrange(n) for _ in range(3))
-            if add[add[a][b]][c] != add[a][add[b][c]]:
-                raise ValueError(f"not associative at ({a}, {b}, {c})")
+    for g in _generator_indices(M):
+        row_g = add[g]
+        for x in range(n):
+            row_xg, row_x = add[add[x][g]], add[x]
+            if row_xg != [row_x[t] for t in row_g]:
+                y = next(y for y in range(n) if row_xg[y] != row_x[row_g[y]])
+                raise ValueError(f"not associative at ({x}, {g}, {y})")
 
 
 # ----------------------------------------------------------------- predicates
@@ -125,13 +117,9 @@ def atoms(M: FiniteCommMonoid) -> list:
         n = len(M)
         z = M.zero
         decomposable = set()
-        for a in range(n):
-            if a == z:
-                continue
-            row = M.add[a]
-            for b in range(n):
-                if b != z:
-                    decomposable.add(row[b])
+        for a, row in enumerate(M.add):
+            if a != z:
+                decomposable.update(row[:z], row[z + 1:])
         cached = M._cache["atoms"] = [
             x for x in range(n) if x != z and x not in decomposable
         ]
@@ -453,24 +441,14 @@ def quotient_by_submonoid(M: FiniteCommMonoid, I) -> FiniteCommMonoid:
         for i in I:
             union(a, row[i])
 
-    members = {}
-    for x in range(n):
-        members.setdefault(find(x), []).append(x)
-    class_reps = sorted(members)
-    class_of = {x: class_reps.index(find(x)) for x in range(n)}
-    zero_class = class_of[M.zero]
-    for i in I:
-        assert class_of[i] == zero_class
-    table = [[0] * len(class_reps) for _ in class_reps]
-    for ci, rep_i in enumerate(class_reps):
-        for cj, rep_j in enumerate(class_reps):
-            table[ci][cj] = class_of[M.add[rep_i][rep_j]]
-    for a in range(n):
-        for b in range(n):
-            assert class_of[M.add[a][b]] == table[class_of[a]][class_of[b]]
+    class_reps = sorted({find(x) for x in range(n)})
+    class_index = {r: c for c, r in enumerate(class_reps)}
+    class_of = [class_index[find(x)] for x in range(n)]
+    table = [[class_of[M.add[rep_i][rep_j]] for rep_j in class_reps]
+             for rep_i in class_reps]
     return FiniteCommMonoid(
         add=table,
-        zero=zero_class,
+        zero=class_of[M.zero],
         labels=[M.labels[r] for r in class_reps],
         reps=[M.reps[r] for r in class_reps] if M.reps else None,
     )
@@ -490,29 +468,6 @@ def _order_profile(M: FiniteCommMonoid, x: int):
         if y in seen:
             return (seen[y], steps - seen[y])
         seen[y] = steps
-
-
-def _profiles(M: FiniteCommMonoid):
-    if "profiles" not in M._cache:
-        n = len(M)
-        unit_set = set(units(M))
-        atom_set = set(atoms(M))
-        decomps = _decomps(M)
-        base = []
-        for x in range(n):
-            base.append((
-                x == M.zero,
-                _order_profile(M, x),
-                x in unit_set,
-                x in atom_set,
-                len(decomps[x]),
-            ))
-        refined = []
-        for x in range(n):
-            row = M.add[x]
-            refined.append((base[x], tuple(sorted(base[row[y]] for y in range(n)))))
-        M._cache["profiles"] = refined
-    return M._cache["profiles"]
 
 
 def _generating_set(M: FiniteCommMonoid) -> list:
@@ -536,65 +491,75 @@ def _generating_set(M: FiniteCommMonoid) -> list:
     return gens
 
 
+def _induced_map(M1: FiniteCommMonoid, M2: FiniteCommMonoid, pairs):
+    """The map phi with phi(0) = 0 and phi(x + g1) = phi(x) + g2 for each
+    pair (g1, g2), on the elements of M1 that adding the g1 to zero again
+    and again reaches.  Returns it as a dict, or None when two ways give an
+    element two images or two elements share an image.
+
+    For monoid tables, a map that covers M1 is an injective homomorphism:
+    by induction on the number of generators in y, phi(x + y + g1) = phi(x + y) + g2 =
+    phi(x) + phi(y) + g2 = phi(x) + phi(y + g1).  So when |M1| = |M2| it is
+    an isomorphism.
+    """
+    add1, add2 = M1.add, M2.add
+    phi = {M1.zero: M2.zero}
+    used = {M2.zero}
+    order = [M1.zero]
+    for x in order:
+        row1, row2 = add1[x], add2[phi[x]]
+        for g1, g2 in pairs:
+            y, image = row1[g1], row2[g2]
+            known = phi.get(y)
+            if known is None:
+                if image in used:
+                    return None
+                phi[y] = image
+                used.add(image)
+                order.append(y)
+            elif known != image:
+                return None
+    return phi
+
+
 def monoid_isomorphic(M1: FiniteCommMonoid, M2: FiniteCommMonoid,
                       cap: int = 10 ** 4):
     """Search for an isomorphism; returns the element mapping (list indexed
-    by M1) or None.  The backtracking is exhaustive over profile-compatible
-    generator images, so None is a proof at this scale."""
+    by M1) or None.
+
+    The search backtracks over the images of ``_generating_set(M1)``, in
+    index order, among the elements of M2 with the same index and period,
+    and extends each partial choice with ``_induced_map``.  Every prune holds
+    for every isomorphism, so the result comes from the lexicographically
+    first tuple of generator images that extends, and None is a proof.
+    """
     n = len(M1)
     if n != len(M2):
         return None
     if n > cap:
         raise errors.SizeOverBudget(f"isomorphism search capped at {cap} elements")
-    p1 = _profiles(M1)
-    p2 = _profiles(M2)
-    if sorted(p1) != sorted(p2):
+    profiles1 = [_order_profile(M1, x) for x in range(n)]
+    profiles2 = [_order_profile(M2, y) for y in range(n)]
+    if sorted(profiles1) != sorted(profiles2):
         return None
     gens = _generating_set(M1)
-    add1, add2 = M1.add, M2.add
+    candidates = [[y for y in range(n) if profiles2[y] == profiles1[g]]
+                  for g in gens]
 
-    def close(phi, used, fresh):
-        queue = deque(fresh)
-        while queue:
-            b = queue.popleft()
-            for a in list(phi):
-                c = add1[a][b]
-                pc = add2[phi[a]][phi[b]]
-                if c in phi:
-                    if phi[c] != pc:
-                        return False
-                else:
-                    if pc in used or p1[c] != p2[pc]:
-                        return False
-                    phi[c] = pc
-                    used.add(pc)
-                    queue.append(c)
-        return True
-
-    def backtrack(k, phi, used):
+    def backtrack(pairs, phi):
+        k = len(pairs)
         if k == len(gens):
-            if len(phi) != n:
-                return None
-            for a in range(n):
-                for b in range(n):
-                    if phi[add1[a][b]] != add2[phi[a]][phi[b]]:
-                        return None
-            return [phi[x] for x in range(n)]
-        g = gens[k]
-        for image in range(n):
-            if image in used or p2[image] != p1[g]:
-                continue
-            phi2 = dict(phi)
-            used2 = set(used)
-            phi2[g] = image
-            used2.add(image)
-            if close(phi2, used2, [g]):
-                result = backtrack(k + 1, phi2, used2)
+            return [phi[x] for x in range(n)] if len(phi) == n else None
+        for image in candidates[k]:
+            extended = pairs + [(gens[k], image)]
+            phi2 = _induced_map(M1, M2, extended)
+            if phi2 is not None:
+                result = backtrack(extended, phi2)
                 if result is not None:
                     return result
         return None
 
-    return backtrack(0, {M1.zero: M2.zero}, {M2.zero})
+    return backtrack([], {M1.zero: M2.zero})
 
 
 # --------------------------------------------------------------- constructions
@@ -666,34 +631,46 @@ def direct_sum_of_cyclic(orders) -> FiniteCommMonoid:
 def classify_cyclic_sum(M: FiniteCommMonoid):
     """If M is isomorphic to a direct sum of cyclic monoids C_{n_i} with all
     n_i >= 2, return the sorted list of orders; otherwise None.  The trivial
-    monoid returns the empty list."""
-    n = len(M)
+    monoid returns the empty list.
+
+    The summands are read off the structure.  In a sum of C_{n_i} the
+    minimal nonzero idempotents e_i are the identities of the summands'
+    groups, and the elements a with a + e = a for e = e_i alone form the
+    group at e_i, of order n_i - 1.  A generator g_i of that group has
+    n_i g_i = g_i, so (k_i) -> sum k_i g_i is a homomorphism from the sum
+    of C_{n_i}.  M is that sum exactly when the map, over 0 <= k_i < n_i,
+    hits every element once.
+    """
+    n, add = len(M), M.add
     if n == 1:
         return []
-    if not is_conical(M) or atoms(M):
+    idempotents = [e for e in range(n) if e != M.zero and add[e][e] == e]
+    minimal = [e for e in idempotents
+               if not any(f != e and add[f][e] == e for f in idempotents)]
+    # every summand has at least two elements
+    if 2 ** len(minimal) > n:
         return None
-    ideal_size = len(smallest_ideal(M).elements)
-
-    def factorizations(remaining, min_factor):
-        if remaining == 1:
-            yield []
-            return
-        f = min_factor
-        while f * f <= remaining:
-            if remaining % f == 0:
-                for rest in factorizations(remaining // f, f):
-                    yield [f] + rest
-            f += 1
-        if remaining >= min_factor:
-            yield [remaining]
-
-    for orders in factorizations(n, 2):
-        if prod(o - 1 for o in orders) != ideal_size:
-            continue
-        candidate = direct_sum_of_cyclic(orders)
-        if monoid_isomorphic(M, candidate) is not None:
-            return sorted(orders)
-    return None
+    groups = {e: [] for e in minimal}
+    for a, row in enumerate(add):
+        above = [e for e in minimal if row[e] == a]
+        if len(above) == 1:
+            groups[above[0]].append(a)
+    orders = [len(groups[e]) + 1 for e in minimal]
+    if prod(orders) != n:
+        return None
+    reached = [M.zero]
+    for e, order in zip(minimal, orders):
+        g = next((a for a in groups[e] if _order_profile(M, a) == (1, order - 1)),
+                 None)
+        if g is None:
+            return None
+        sums = []
+        for x in reached:
+            for _ in range(order):
+                sums.append(x)
+                x = add[x][g]
+        reached = sums
+    return sorted(orders) if len(set(reached)) == n else None
 
 
 # ---------------------------------------------------------------- enumerations

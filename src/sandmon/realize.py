@@ -25,9 +25,10 @@ from .graph import (
 from .ktheory import cokernel, k0_matrix
 from .monoid import (
     AbelianGroupInvariants,
+    _induced_map,
     abelian_invariants,
+    classify_cyclic_sum,
     cyclic_group_monoid,
-    cyclic_monoid,
     enumerate_sandpile_monoid,
     enumerate_weighted_monoid,
     group_completion,
@@ -253,23 +254,31 @@ def prime_order_case(g: SandpileGraph) -> PrimeCase:
     """Classify sandpile monoids of prime order: with a single non-sink
     vertex x of out-degree p, either every edge hits the sink (the monoid is
     the cyclic group of order p, not conical) or x keeps some loops (the
-    monoid is monogenic with index the loop count).  Verdicts are verified
-    against the constructed model by isomorphism search."""
+    monoid is monogenic with index the loop count).  Each verdict is
+    certified by the map that sends the model's generator to x; a table
+    that the map does not cover raises CertificateFailed."""
     g = reduce_graph(g)
     size = prod(g.out_degree(v) for v in g.non_sink_vertices())
     if not _is_prime(size):
         return PrimeCase("not_prime", size)
-    non_sink = g.non_sink_vertices()
-    assert len(non_sink) == 1
-    x = non_sink[0]
+    # a prime product of out-degrees leaves one vertex besides the sink, as
+    # a reduced graph has none of out-degree one
+    (x,) = g.non_sink_vertices()
     loops = sum(1 for t in g.out_targets[x] if t == x)
     sink_edges = g.out_degree(x) - loops
-    sp = enumerate_sandpile_monoid(g)
     if loops == 0:
-        assert monoid_isomorphic(sp, cyclic_group_monoid(size)) is not None
-        return PrimeCase("cyclic_group", size, loops=0, sink_edges=size)
-    assert monoid_isomorphic(sp, monogenic_monoid(loops, sink_edges)) is not None
-    return PrimeCase("monogenic", size, loops=loops, sink_edges=sink_edges)
+        case = PrimeCase("cyclic_group", size, loops=0, sink_edges=size)
+        model = cyclic_group_monoid(size)
+    else:
+        case = PrimeCase("monogenic", size, loops=loops, sink_edges=sink_edges)
+        model = monogenic_monoid(loops, sink_edges)
+    sp = enumerate_sandpile_monoid(g)
+    phi = _induced_map(model, sp, [(model.generators["x"], sp.generators[g.names[x]])])
+    if phi is None or not len(phi) == len(model) == len(sp):
+        raise errors.CertificateFailed(
+            f"the sandpile monoid of order {size} is not the {case.kind} model"
+        )
+    return case
 
 
 # ----------------------------------------------------------------- cycle suite
@@ -299,13 +308,12 @@ class CycleSuiteReport:
 def cycle_suite(weights) -> CycleSuiteReport:
     """Build the weighted cycle, its unweighted companion (weights expanded
     to parallel edges, all edges reversed) and the sandpile companion, and
-    verify all three monoids are the cyclic monoid of order equal to the
-    product of the weights."""
+    verify that ``classify_cyclic_sum`` finds each of the three monoids to be
+    the cyclic monoid of order equal to the product of the weights."""
     E = weighted_cycle_graph(weights)
     F = cycle_companion_unweighted(weights)
     G = cycle_companion_sandpile(weights)
     order = prod(int(w) for w in weights)
-    target = cyclic_monoid(order)
     m_cycle = enumerate_weighted_monoid(E, sink_relations=False)
     m_companion = enumerate_weighted_monoid(F, sink_relations=False)
     m_sandpile = enumerate_sandpile_monoid(G)
@@ -315,7 +323,7 @@ def cycle_suite(weights) -> CycleSuiteReport:
         "sandpile_companion": len(m_sandpile),
     }
     isomorphic = {
-        key: monoid_isomorphic(m, target) is not None
+        key: classify_cyclic_sum(m) == [order]
         for key, m in [
             ("weighted_cycle", m_cycle),
             ("unweighted_companion", m_companion),

@@ -294,7 +294,10 @@ def test_criterion_7_property_suite_on_seeded_corpus():
     _announce(7, f"all property checks hold on {len(corpus)} corpus graphs")
 
 
-def test_criterion_8_snf_certificates():
+def criterion_8_matrices():
+    """The seeded random matrices of criterion 8: (trial, A, P, Q) for 1000
+    trials, with random unimodular P and Q on every fifth trial and None
+    otherwise."""
     rng = random.Random(48109)
 
     def random_unimodular(k):
@@ -311,6 +314,15 @@ def test_criterion_8_snf_certificates():
         m = rng.randint(1, 6)
         n = rng.randint(1, 6)
         A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        if trial % 5 == 0:
+            yield trial, A, random_unimodular(m), random_unimodular(n)
+        else:
+            yield trial, A, None, None
+
+
+def test_criterion_8_snf_certificates():
+    for trial, A, P, Q in criterion_8_matrices():
+        m, n = len(A), len(A[0])
         U, S, V = smith_normal_form(A)
         assert mat_mul(mat_mul(U, A), V) == S, trial
         assert abs(determinant(U)) == 1, trial
@@ -326,9 +338,17 @@ def test_criterion_8_snf_certificates():
                 if i != j:
                     assert S[i][j] == 0, trial
 
-        if trial % 5 == 0:
+        if P is not None:
             base = cokernel(A)
-            P = random_unimodular(m)
-            Q = random_unimodular(n)
             assert cokernel(mat_mul(mat_mul(P, A), Q)) == base, trial
     _announce(8, "1000 SNF certificates verified; cokernel is unimodular invariant")
+
+
+def test_criterion_8_snf_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    for trial, A, _, _ in criterion_8_matrices():
+        _, S, _ = smith_normal_form(A)
+        expected = invariant_factors(sympy.Matrix(A), domain=sympy.ZZ)
+        assert snf_diagonal(S) == [int(d) for d in expected], trial

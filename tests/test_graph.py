@@ -2,6 +2,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sandmon import errors
 from sandmon.graph import (
@@ -113,6 +114,68 @@ def test_non_cycle_vertices_acyclic():
 def test_non_cycle_vertices_loop():
     g = WeightedDigraph(["v"], [("v", "v", 1)])
     assert non_cycle_vertices(g) == frozenset()
+
+
+def reference_non_cycle_vertices(g):
+    """Oracle for non_cycle_vertices: a depth-first search from every vertex
+    finds the vertices on a cycle, then the vertices that reach one are
+    added until nothing changes; the rest is the answer."""
+    on_cycle = set()
+    for v in range(g.n_vertices):
+        seen = set()
+        frontier = list(g.out_targets[v])
+        while frontier:
+            u = frontier.pop()
+            if u == v:
+                on_cycle.add(v)
+                break
+            if u not in seen:
+                seen.add(u)
+                frontier.extend(g.out_targets[u])
+    reaches_cycle = set(on_cycle)
+    changed = True
+    while changed:
+        changed = False
+        for s, r, _ in g.edges:
+            if r in reaches_cycle and s not in reaches_cycle:
+                reaches_cycle.add(s)
+                changed = True
+    return frozenset(range(g.n_vertices)) - reaches_cycle
+
+
+def assert_non_cycle_vertices_match_reference(g):
+    S = non_cycle_vertices(g)
+    assert S == reference_non_cycle_vertices(g)
+    assert is_hereditary_saturated(g, S)
+
+
+def test_non_cycle_vertices_match_reference_on_the_corpus():
+    kinds = set()
+    for g in random_sandpile_corpus():
+        assert_non_cycle_vertices_match_reference(g)
+        S = non_cycle_vertices(g)
+        kinds.add("empty" if S == {g.sink} else "all" if len(S) == g.n_vertices
+                  else "some")
+        q = quotient_graph(g, S)
+        assert_non_cycle_vertices_match_reference(q)
+        assert non_cycle_vertices(q) == frozenset()
+    assert kinds == {"empty", "some", "all"}
+
+
+@st.composite
+def small_digraphs(draw):
+    """A random multigraph on 1-6 vertices, each with 0-4 out-edges (loops
+    and parallel edges allowed)."""
+    n = draw(st.integers(1, 6))
+    edges = [(v, t, 1) for v in range(n)
+             for t in draw(st.lists(st.integers(0, n - 1), max_size=4))]
+    return WeightedDigraph([f"v{i}" for i in range(n)], edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_digraphs())
+def test_non_cycle_vertices_match_reference_on_generated_graphs(g):
+    assert_non_cycle_vertices_match_reference(g)
 
 
 def test_hereditary_saturated_checks():

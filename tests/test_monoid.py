@@ -16,6 +16,7 @@ from sandmon.graph import (
     multi_cycle_sandpile,
     non_cycle_vertices,
     quotient_graph,
+    reduce_graph,
     rose_graph,
     validate_sandpile,
     weighted_cycle_graph,
@@ -841,3 +842,403 @@ def test_refine_equation_returns_a_refinement_exactly_when_one_exists():
                             e1, e2, e3, e4 = found
                             assert (add[e1][e2], add[e3][e4], add[e1][e3],
                                     add[e2][e4]) == (a, b, c, d)
+
+
+# ----------------------------------------------- isomorphism by induced maps
+
+
+def cyclic_profile(M, x):
+    """Index and period of the multiples of x."""
+    seen = {}
+    y, k = x, 1
+    while y not in seen:
+        seen[y] = k
+        y, k = M.add[y][x], k + 1
+    return seen[y], k - seen[y]
+
+
+def reference_profiles(M):
+    """Each element's zero flag, cyclic profile, unit and atom flags and
+    number of unordered decompositions, refined by the multiset of those of
+    its translates."""
+    n, add, z = len(M), M.add, M.zero
+    unit_set = {a for a in range(n) if z in add[a]}
+    decomposable = {add[a][b] for a in range(n) for b in range(n) if z not in (a, b)}
+    splits = [0] * n
+    for a in range(n):
+        for b in range(a, n):
+            splits[add[a][b]] += 1
+    base = [(x == z, cyclic_profile(M, x), x in unit_set,
+             x != z and x not in decomposable, splits[x]) for x in range(n)]
+    return [(base[x], tuple(sorted(base[add[x][y]] for y in range(n))))
+            for x in range(n)]
+
+
+def reference_generating_set(M):
+    """Elements in index order that the earlier ones do not generate."""
+    gens, closed = [], {M.zero}
+    for x in range(len(M)):
+        if x not in closed:
+            gens.append(x)
+            while True:
+                grown = closed | {M.add[a][b] for a in closed for b in closed | {x}}
+                if grown == closed:
+                    break
+                closed = grown
+    return gens
+
+
+def reference_monoid_isomorphic(M1, M2):
+    """Oracle for monoid_isomorphic: backtracking over profile-compatible
+    images of the generators, each choice closed under sums of the elements
+    mapped so far, and the whole table checked at the end."""
+    n = len(M1)
+    if n != len(M2):
+        return None
+    p1, p2 = reference_profiles(M1), reference_profiles(M2)
+    if sorted(p1) != sorted(p2):
+        return None
+    gens = reference_generating_set(M1)
+    add1, add2 = M1.add, M2.add
+
+    def close(phi, used, fresh):
+        queue = list(fresh)
+        while queue:
+            b = queue.pop(0)
+            for a in list(phi):
+                c, pc = add1[a][b], add2[phi[a]][phi[b]]
+                if c in phi:
+                    if phi[c] != pc:
+                        return False
+                elif pc in used or p1[c] != p2[pc]:
+                    return False
+                else:
+                    phi[c] = pc
+                    used.add(pc)
+                    queue.append(c)
+        return True
+
+    def backtrack(k, phi, used):
+        if k == len(gens):
+            if len(phi) == n and all(phi[add1[a][b]] == add2[phi[a]][phi[b]]
+                                     for a in range(n) for b in range(n)):
+                return [phi[x] for x in range(n)]
+            return None
+        for image in range(n):
+            if image in used or p2[image] != p1[gens[k]]:
+                continue
+            phi2, used2 = dict(phi), used | {image}
+            phi2[gens[k]] = image
+            if close(phi2, used2, [gens[k]]):
+                result = backtrack(k + 1, phi2, used2)
+                if result is not None:
+                    return result
+        return None
+
+    return backtrack(0, {M1.zero: M2.zero}, {M2.zero})
+
+
+def reference_classify_cyclic_sum(M):
+    """Oracle for classify_cyclic_sum: every factorisation of |M| into
+    orders whose groups multiply to the size of the smallest ideal, tried
+    against the table of that direct sum by the reference search."""
+    n, add = len(M), M.add
+    if n == 1:
+        return []
+    conical = [a for a in range(n) if M.zero in add[a]] == [M.zero]
+    if not conical or atoms(M):
+        return None
+    ideal_size = len(smallest_ideal(M).elements)
+
+    def factorizations(remaining, least):
+        if remaining == 1:
+            yield []
+        for f in range(least, remaining + 1):
+            if remaining % f == 0:
+                for rest in factorizations(remaining // f, f):
+                    yield [f] + rest
+
+    for orders in factorizations(n, 2):
+        if prod(o - 1 for o in orders) != ideal_size:
+            continue
+        if reference_monoid_isomorphic(M, direct_sum_of_cyclic(orders)) is not None:
+            return orders
+    return None
+
+
+def assert_isomorphism_matches_reference(M1, M2):
+    mapping = monoid_isomorphic(M1, M2)
+    assert mapping == reference_monoid_isomorphic(M1, M2)
+    if mapping is not None:
+        n = len(M1)
+        assert sorted(mapping) == list(range(n))
+        assert all(mapping[M1.add[a][b]] == M2.add[mapping[a]][mapping[b]]
+                   for a in range(n) for b in range(n))
+    return mapping
+
+
+def assert_cyclic_sum_matches_reference(M):
+    orders = classify_cyclic_sum(M)
+    assert orders == reference_classify_cyclic_sum(M)
+    return orders
+
+
+def realization_monoids(g):
+    """The sandpile monoid, the side that ``realization`` compares (the
+    monoid itself, or modulo its units when not conical), and the
+    presentation monoid of the quotient graph."""
+    sp = enumerate_sandpile_monoid(g)
+    left = sp if is_conical(sp) else quotient_by_submonoid(sp, units(sp))
+    q = quotient_graph(g, non_cycle_vertices(g))
+    return sp, left, enumerate_weighted_monoid(q, sink_relations=False)
+
+
+def assert_graph_monoids_match_reference(g):
+    """Both searches of ``realization`` and of sp against the reduced graph's
+    sp, and the cyclic-sum verdict of every monoid involved; returns those
+    verdicts."""
+    sp, left, presented = realization_monoids(g)
+    reduced = enumerate_sandpile_monoid(reduce_graph(g))
+    assert assert_isomorphism_matches_reference(left, presented) is not None
+    assert assert_isomorphism_matches_reference(sp, reduced) is not None
+    return [assert_cyclic_sum_matches_reference(M)
+            for M in {id(M): M for M in (sp, left, presented, reduced)}.values()]
+
+
+def test_isomorphism_and_cyclic_sum_match_reference_on_the_corpus():
+    verdicts = []
+    for g in random_sandpile_corpus():
+        verdicts += assert_graph_monoids_match_reference(g)
+    assert any(v is None for v in verdicts)
+    assert any(v and len(v) > 1 for v in verdicts)
+
+
+def test_isomorphism_and_cyclic_sum_match_reference_on_named_examples():
+    verdicts = [v for g in named_examples().values()
+                for v in assert_graph_monoids_match_reference(g)]
+    assert [4] in verdicts and None in verdicts
+
+
+def test_isomorphism_and_cyclic_sum_match_reference_on_cycle_unions():
+    for g in two_cycle_unions():
+        M = enumerate_sandpile_monoid(g)
+        orders = assert_cyclic_sum_matches_reference(M)
+        assert prod(orders) == 128
+        assert assert_isomorphism_matches_reference(
+            M, direct_sum_of_cyclic(orders[::-1])) is not None
+
+
+def reversed_copy(M):
+    """M with its element indices in reverse order."""
+    n = len(M)
+    last = n - 1
+    return FiniteCommMonoid(
+        add=[[last - M.add[last - a][last - b] for b in range(n)] for a in range(n)],
+        zero=last - M.zero, labels=M.labels[::-1],
+    )
+
+
+def test_atoms_and_units_do_not_depend_on_where_zero_sits():
+    for M in [monogenic_monoid(2, 3), monogenic_monoid(4, 2),
+              direct_sum(monogenic_monoid(2, 3), cyclic_group_monoid(2)),
+              enumerate_sandpile_monoid(make_t_graph())]:
+        R, last = reversed_copy(M), len(M) - 1
+        assert atoms(M)
+        assert atoms(R) == sorted(last - a for a in atoms(M))
+        assert units(R) == sorted(last - u for u in units(M))
+
+
+def test_isomorphism_and_cyclic_sum_match_reference_on_direct_sums():
+    monoids = [direct_sum_of_cyclic(orders) for orders in
+               ([2, 3], [3, 2], [6], [2, 2], [4], [2, 2, 3], [3, 4], [2, 6],
+                [12], [5, 6], [6, 5])]
+    # zero last, and the group identity first among its group's elements
+    monoids += [reversed_copy(M) for M in monoids[:6]] + [reversed_copy(cyclic_monoid(5))]
+    monoids += [monogenic_monoid(i, p) for i in range(4) for p in range(1, 5)]
+    monoids += [direct_sum(monogenic_monoid(2, 3), cyclic_monoid(3)),
+                direct_sum(cyclic_group_monoid(2), cyclic_monoid(4)),
+                direct_sum(cyclic_monoid(4), cyclic_group_monoid(2)),
+                direct_sum(monogenic_monoid(1, 2), monogenic_monoid(3, 2)),
+                direct_sum(cyclic_group_monoid(2), cyclic_group_monoid(2)),
+                trivial_monoid()]
+    found = 0
+    for M1 in monoids:
+        assert_cyclic_sum_matches_reference(M1)
+        for M2 in monoids:
+            if len(M1) == len(M2):
+                found += assert_isomorphism_matches_reference(M1, M2) is not None
+    # every monoid is isomorphic to itself, and the sums taken in either
+    # order to each other
+    assert found > len(monoids)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_sandpile_graphs())
+def test_isomorphism_and_cyclic_sum_match_reference_on_generated_graphs(g):
+    sp = enumerate_sandpile_monoid(g)
+    reduced = enumerate_sandpile_monoid(reduce_graph(g))
+    assert assert_isomorphism_matches_reference(sp, reduced) is not None
+    assert_cyclic_sum_matches_reference(sp)
+    assert_cyclic_sum_matches_reference(reduced)
+
+
+def test_cyclic_sum_needs_the_sum_map_to_be_bijective():
+    # C2 + C3 with (a, b) and (a, 2b) made one element t, plus an element u
+    # that absorbs every nonzero element: a and 2b are the minimal nonzero
+    # idempotents, {a} and {b, 2b} their groups, and 2 * 3 = 6 elements, but
+    # the sums 0, b, 2b, a, a + b, a + 2b miss u
+    #     0  a  b 2b  t  u
+    add = [[0, 1, 2, 3, 4, 5],
+           [1, 1, 4, 4, 4, 5],
+           [2, 4, 3, 2, 4, 5],
+           [3, 4, 2, 3, 4, 5],
+           [4, 4, 4, 4, 4, 5],
+           [5, 5, 5, 5, 5, 5]]
+    M = FiniteCommMonoid(add=add, zero=0, labels=["0", "a", "b", "2b", "t", "u"])
+    verify_monoid(M)
+    assert classify_cyclic_sum(M) is None
+    assert reference_classify_cyclic_sum(M) is None
+
+
+def test_induced_map_rejects_what_no_homomorphism_gives():
+    c4, z4 = cyclic_monoid(4), cyclic_group_monoid(4)
+    # 3x + x = x in C4, but 3 + 1 = 0 in Z/4
+    assert monoid._induced_map(c4, z4, [(1, 1)]) is None
+    # 2 and 0 both go to 0 in Z/2
+    assert monoid._induced_map(z4, cyclic_group_monoid(2), [(1, 1)]) is None
+    assert monoid._induced_map(z4, z4, [(1, 3)]) == {0: 0, 1: 3, 2: 2, 3: 1}
+    # one summand's generator reaches only that summand
+    m = direct_sum_of_cyclic([2, 3])
+    phi = monoid._induced_map(m, m, [(1, 1)])
+    assert sorted(phi) == [0, 1, 2] and len(m) == 6
+
+
+# ------------------------------------------------- prime-order certificates
+
+
+PRIME_CORRUPTION = (
+    "from sandmon import errors, realize\n"
+    "from sandmon.graph import loop_sink_graph\n"
+    "built = realize.enumerate_sandpile_monoid\n"
+    "def corrupted(g):\n"
+    "    sp = built(g)\n"
+    "    sp.add[2][1] = sp.add[1][2] = 2\n"
+    "    return sp\n"
+    "realize.enumerate_sandpile_monoid = corrupted\n"
+    "try:\n"
+    "    realize.prime_order_case(loop_sink_graph(2, 3))\n"
+    "except errors.CertificateFailed:\n"
+    "    print('CertificateFailed')\n"
+)
+
+
+def test_prime_order_certificate_can_fail(monkeypatch):
+    from sandmon import realize
+
+    built = realize.enumerate_sandpile_monoid
+    cases = {}
+    for g in (loop_sink_graph(2, 3), validate_sandpile(
+            WeightedDigraph(["x", "s"], [("x", "s", 1)] * 5))):
+        cases[realize.prime_order_case(g).kind] = g
+    assert sorted(cases) == ["cyclic_group", "monogenic"]
+
+    def corrupted(g):
+        sp = built(g)
+        sp.add[2][1] = sp.add[1][2] = 2
+        return sp
+
+    monkeypatch.setattr(realize, "enumerate_sandpile_monoid", corrupted)
+    for g in cases.values():
+        with pytest.raises(errors.CertificateFailed):
+            realize.prime_order_case(g)
+
+    def widened(g):
+        # the model maps one to one into this table, but does not cover it
+        sp = built(g)
+        wide = direct_sum(sp, cyclic_monoid(2))
+        wide.generators = {name: 2 * x for name, x in sp.generators.items()}
+        return wide
+
+    monkeypatch.setattr(realize, "enumerate_sandpile_monoid", widened)
+    for g in cases.values():
+        with pytest.raises(errors.CertificateFailed):
+            realize.prime_order_case(g)
+
+
+def test_prime_order_certificate_runs_without_asserts():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", PRIME_CORRUPTION], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
+    )
+    assert out.stdout == "CertificateFailed\n"
+
+
+# ------------------------------------------------ quotients and table axioms
+
+
+def test_quotient_by_units_matches_its_definition_on_the_corpus():
+    """a ~ b iff a + i = b + j for units i, j; each class is named by its
+    least element, and the quotient table adds classes."""
+    checked = 0
+    for g in random_sandpile_corpus():
+        sp = enumerate_sandpile_monoid(g)
+        unit_list = units(sp)
+        if unit_list == [sp.zero]:
+            continue
+        Q = quotient_by_submonoid(sp, unit_list)
+        n, add = len(sp), sp.add
+        translates = [{add[a][i] for i in unit_list} for a in range(n)]
+        least = [min(b for b in range(n) if translates[a] & translates[b])
+                 for a in range(n)]
+        assert len(Q) == len(set(least))
+        project = [Q.labels.index(sp.labels[r]) for r in least]
+        assert all(project[i] == Q.zero for i in unit_list)
+        assert all(project[add[a][b]] == Q.add[project[a]][project[b]]
+                   for a in range(n) for b in range(n))
+        checked += 1
+    assert checked >= 10
+
+
+def associative(M):
+    n, add = len(M), M.add
+    return all(add[add[a][b]][c] == add[a][add[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def test_verify_monoid_is_exact_on_corrupted_tables():
+    """Every symmetric change of one sum of nonzero elements: Light's test
+    fails exactly when some triple is not associative."""
+    outcomes = set()
+    for M in [monogenic_monoid(2, 3), direct_sum_of_cyclic([2, 3]),
+              cyclic_group_monoid(4)]:
+        n = len(M)
+        for a in range(n):
+            for b in range(a, n):
+                if M.zero in (a, b):
+                    continue
+                for value in range(n):
+                    add = [list(row) for row in M.add]
+                    add[a][b] = add[b][a] = value
+                    broken = FiniteCommMonoid(add=add, zero=M.zero,
+                                              labels=M.labels,
+                                              generators=M.generators)
+                    try:
+                        verify_monoid(broken)
+                        passed = True
+                    except ValueError:
+                        passed = False
+                    assert passed == associative(broken), (M.labels, a, b, value)
+                    outcomes.add(passed)
+    assert outcomes == {True, False}
+
+
+def test_verify_monoid_checks_large_tables_exactly():
+    M = enumerate_sandpile_monoid(two_cycle_unions()[0])
+    verify_monoid(M)
+    # with 2x + 2x changed to x, (x + x) + 2x = x but x + (x + 2x) = 4x
+    x = M.generators["c0v1"]
+    two_x = M.add[x][x]
+    broken = corrupted_copy(M, two_x, two_x, x)
+    with pytest.raises(ValueError, match="not associative"):
+        verify_monoid(broken)
