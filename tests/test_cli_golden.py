@@ -1,11 +1,14 @@
 """Byte-for-byte pins of the ``monoid``, ``wmonoid``, ``classify`` and
-``k0 --sandpile-group`` reports and of the ``--help`` texts.
+``k0`` reports and of the ``--help`` texts.
 
 Each file in ``tests/golden/cli/`` is the transcript of ``sandmon``
 invocations: for each, the command line, the exit code, then stdout and
 stderr verbatim.  There is one file per ``--json`` report on a
-``graphs/*.sg`` file, and ``help.txt`` holds ``--help`` for the program and
-every subcommand at 80 columns, in the wording of argparse on Python
+``graphs/*.sg`` file, one per ``k0`` and ``k0 --sandpile-group`` report on
+the inputs in ``tests/golden/inputs/`` (the 12x12 grid, K_12, and a
+weighted graph with two sinks whose matrix has more rows than columns), and
+``help.txt`` holds ``--help`` for the program and every subcommand at 80
+columns, in the wording of argparse on Python
 3.10 to 3.12 (3.13 lays out usage lines differently).  Error outcomes
 (``Inconclusive``, ``error[NoSink]``, ``error[NotConical]``) are pinned
 like any other.  ``wmonoid`` runs with
@@ -38,6 +41,10 @@ COMMANDS = {
     "classify": ("classify",),
     "k0-sandpile-group": ("k0", "--sandpile-group"),
 }
+K0_COMMANDS = {
+    "k0": ("k0",),
+    "k0-sandpile-group": ("k0", "--sandpile-group"),
+}
 SUBCOMMANDS = ("check", "stabilize", "monoid", "wmonoid", "group", "k0", "realize",
                "classify", "prime", "cycle-suite", "export-dot")
 
@@ -50,12 +57,16 @@ def cases() -> dict:
         for key, (command, *flags) in COMMANDS.items():
             argv = [command, f"graphs/{graph.name}", *flags, "--json"]
             out[f"{graph.stem}.{key}.txt"] = [argv]
+    for graph in sorted((ROOT / "tests" / "golden" / "inputs").glob("*.sg")):
+        for key, (command, *flags) in K0_COMMANDS.items():
+            argv = [command, f"tests/golden/inputs/{graph.name}", *flags, "--json"]
+            out[f"{graph.stem}.{key}.txt"] = [argv]
     return out
 
 
 def run(argv) -> str:
     out, err = io.StringIO(), io.StringIO()
-    resolved = [str(ROOT / a) if a.startswith("graphs/") else a for a in argv]
+    resolved = [str(ROOT / a) if a.endswith(".sg") else a for a in argv]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         try:
