@@ -27,6 +27,7 @@ from .ktheory import (
     k0_matrix,
     k0_of_weighted_graph,
     sandpile_group_via_k0,
+    smith_diagonal,
     smith_normal_form,
 )
 from .monoid import (

@@ -251,9 +251,9 @@ def cmd_k0(args) -> int:
         g, _ = _load_graph(args.graph)
         matrix = ktheory.k0_matrix(g)
         mode = "graph"
-    _, S, _ = ktheory.smith_normal_form(matrix)
-    diag = ktheory.snf_diagonal(S)
-    invariants = ktheory.invariants_from_diagonal(diag, len(matrix))
+    invariants = ktheory.cokernel(matrix)
+    diag = ktheory.diagonal_from_invariants(invariants, len(matrix),
+                                            len(matrix[0]) if matrix else 0)
     payload = {
         "report": "k0",
         "mode": mode,

@@ -330,7 +330,9 @@ def shortest_sink_distances(g: SandpileGraph) -> list[int]:
                     dist[src] = dist[v] + 1
                     nxt.append(src)
         frontier = nxt
-    assert all(d is not None for d in dist)
+    stranded = [g.names[v] for v, d in enumerate(dist) if d is None]
+    if stranded:
+        raise errors.UnreachableSink(stranded)
     return dist
 
 

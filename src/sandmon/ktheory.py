@@ -3,10 +3,13 @@
 Matrices are dense lists of lists of Python ints, so every computation here
 is exact; no floating point is used anywhere in this module.  The Smith
 normal form returns the unimodular transforms so that the factorisation can
-be certified by multiplying back.
+be certified by multiplying back; ``smith_diagonal`` returns its diagonal
+alone, which is all a cokernel needs, and is what ``cokernel`` uses.
 """
 
 from __future__ import annotations
+
+from math import gcd, isqrt, prod
 
 from . import errors
 from .graph import (
@@ -25,11 +28,22 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _shape(A: Matrix) -> tuple:
+    """(rows, columns) of A; BadParameters when its rows differ in length."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    if any(len(row) != n for row in A):
+        raise errors.BadParameters("the rows of the matrix differ in length")
+    return m, n
+
+
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    if not A or not B:
-        return [[0] * (len(B[0]) if B else 0) for _ in A]
-    rows, inner, cols = len(A), len(B), len(B[0])
-    assert all(len(r) == inner for r in A)
+    rows, inner = _shape(A)
+    _, cols = _shape(B)
+    if len(B) != inner:
+        raise errors.BadParameters(
+            f"cannot multiply a {rows}x{inner} matrix by one with {len(B)} rows"
+        )
     out = [[0] * cols for _ in range(rows)]
     for i in range(rows):
         Ai = A[i]
@@ -46,7 +60,8 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
 def determinant(A: Matrix) -> int:
     """Bareiss fraction-free determinant (exact)."""
     n = len(A)
-    assert all(len(row) == n for row in A)
+    if any(len(row) != n for row in A):
+        raise errors.BadParameters("the determinant needs a square matrix")
     if n == 0:
         return 1
     M = [list(map(int, row)) for row in A]
@@ -84,9 +99,7 @@ def smith_normal_form(A: Matrix):
     Pivoting picks the smallest nonzero absolute value in the remaining
     block, which keeps intermediate entries modest.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    assert all(len(row) == n for row in A)
+    m, n = _shape(A)
     S = [list(map(int, row)) for row in A]
     U = identity_matrix(m)
     V = identity_matrix(n)
@@ -187,6 +200,186 @@ def snf_diagonal(S: Matrix) -> list:
     return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
 
 
+def smith_diagonal(A: Matrix) -> list:
+    """The diagonal of the Smith normal form of A, exactly and without the
+    transforms: ones, then the invariant factors above one in divisibility
+    order, then min(rows, columns) - rank zeros.
+
+    The matrix is eliminated in sparse form, one pivot at a time, and each
+    pivot adds one diagonal entry.  The pivot is an entry of least absolute
+    value, in a shortest row and then a shortest column (Markowitz's rule
+    against fill-in), so every +-1 entry goes first: its Schur complement
+    leaves the cokernel unchanged and adds a 1.  A larger pivot is cleared
+    from its column by row operations and from its row by column
+    operations, and a nonzero remainder becomes the next pivot.
+
+    The entries of what remains can then grow without bound.  When the
+    units run out on a square block B, and an entry later outgrows B's
+    Hadamard bound, a nonzero det B (from ``determinant``) switches the
+    elimination to symmetric residues modulo the trailing determinant
+    |det B| / (the product of the entries found since B).  That is valid
+    because what remains has a cokernel of that order, so its image holds
+    that multiple of every unit vector (Domich, Kannan and Trotter 1987).
+    Each later pivot adds its gcd with the modulus, and a block that is left
+    zero modulo it adds the modulus per row.  Those entries must multiply to
+    the modulus, else ``CertificateFailed``.  Non-square and singular blocks
+    stay on the exact elimination.  The entries are put into divisibility
+    order by gcd and lcm at the end.
+    """
+    m, n = _shape(A)
+    rows = {}
+    cols = {}
+    for i, row in enumerate(A):
+        entries = {j: int(v) for j, v in enumerate(row) if v}
+        if entries:
+            rows[i] = entries
+            for j in entries:
+                cols.setdefault(j, set()).add(i)
+    factors = []
+    block = None  # B and its Hadamard bound; False once the switch is ruled out
+    found = 1  # the product of the entries found since B
+    modulus = None
+    while rows:
+        i, j = _pivot(rows, cols)
+        if block is None and abs(rows[i][j]) > 1:
+            block = _dense_block(rows, cols) if len(rows) == len(cols) else False
+        d = abs(_eliminate(rows, cols, i, j, modulus))
+        factors.append(d)
+        if block:
+            found *= d
+            if any(max(map(abs, r.values())) > block[1] for r in rows.values()):
+                det = abs(determinant(block[0]))
+                if det:
+                    modulus = det // found
+                    start, size = len(factors), len(rows)
+                    _reduce(rows, cols, modulus)
+                block = False
+    if modulus is not None:
+        tail = [gcd(d, modulus) for d in factors[start:]]
+        tail += [modulus] * (size - len(tail))
+        if prod(tail) != modulus or modulus * found != det:
+            raise errors.CertificateFailed(
+                f"the entries found modulo {modulus} multiply to {prod(tail)}"
+            )
+        factors[start:] = tail
+    rank = len(factors)
+    chain = _divisibility_chain([d for d in factors if d > 1])
+    return [1] * (rank - len(chain)) + chain + [0] * (min(m, n) - rank)
+
+
+def _pivot(rows: dict, cols: dict) -> tuple:
+    """(row, column) of an entry of least absolute value, in a shortest row
+    among those holding one, then in a shortest column."""
+    best = None
+    for i, r in rows.items():
+        key = (min(map(abs, r.values())), len(r))
+        if best is None or key < best:
+            best, at = key, i
+    least = best[0]
+    r = rows[at]
+    return at, min((j for j, v in r.items() if abs(v) == least), key=lambda j: len(cols[j]))
+
+
+def _eliminate(rows: dict, cols: dict, i: int, j: int, modulus) -> int:
+    """Clear the column and then the row of the pivot at (i, j), taking a
+    nonzero remainder as the next pivot; returns the last pivot, whose row
+    and column leave the matrix."""
+    while True:
+        pivot_row = rows[i]
+        p = pivot_row[j]
+        for k in [k for k in cols[j] if k != i]:
+            _axpy(rows, cols, k, pivot_row, rows[k][j] // p, modulus)
+        if len(cols[j]) > 1:
+            i = min((k for k in cols[j] if k != i), key=lambda k: abs(rows[k][j]))
+            continue
+        # Column j is now clear outside row i, so a column operation on the
+        # pivot's row changes no other row.
+        if abs(p) > 1:
+            for l, v in list(pivot_row.items()):
+                r = v % p
+                if r:
+                    pivot_row[l] = r
+                elif l != j:
+                    del pivot_row[l]
+                    _discard(cols, l, i)
+            if len(pivot_row) > 1:
+                j = min((l for l in pivot_row if l != j), key=lambda l: abs(pivot_row[l]))
+                continue
+        del rows[i]
+        for l in pivot_row:
+            _discard(cols, l, i)
+        return p
+
+
+def _axpy(rows: dict, cols: dict, k: int, src: dict, q: int, modulus) -> None:
+    """Row k -= q * src, in symmetric residues when a modulus is given."""
+    if not q:
+        return
+    row = rows[k]
+    half = modulus // 2 if modulus else 0
+    for c, x in src.items():
+        y = row.get(c, 0) - q * x
+        if modulus:
+            y %= modulus
+            if y > half:
+                y -= modulus
+        if y:
+            if c not in row:
+                cols[c].add(k)
+            row[c] = y
+        elif c in row:
+            del row[c]
+            _discard(cols, c, k)
+    if not row:
+        del rows[k]
+
+
+def _discard(cols: dict, c: int, k: int) -> None:
+    members = cols[c]
+    members.discard(k)
+    if not members:
+        del cols[c]
+
+
+def _reduce(rows: dict, cols: dict, modulus: int) -> None:
+    """Replace every entry by its symmetric residue, dropping zeros."""
+    half = modulus // 2
+    for k in list(rows):
+        row = rows[k]
+        for c, v in list(row.items()):
+            y = v % modulus
+            if y > half:
+                y -= modulus
+            if y:
+                row[c] = y
+            else:
+                del row[c]
+                _discard(cols, c, k)
+        if not row:
+            del rows[k]
+
+
+def _dense_block(rows: dict, cols: dict) -> tuple:
+    """The remaining matrix as a dense square block, with its Hadamard bound
+    on |det|: the product of the rows' Euclidean lengths."""
+    order = sorted(cols)
+    B = [[r.get(c, 0) for c in order] for r in rows.values()]
+    return B, isqrt(prod(sum(v * v for v in r.values()) for r in rows.values()))
+
+
+def _divisibility_chain(factors: list) -> list:
+    """The invariant factors above one of a diagonal matrix with these
+    entries: repeatedly replace a pair by its gcd and lcm."""
+    chain = list(factors)
+    for a in range(len(chain)):
+        for b in range(a + 1, len(chain)):
+            x, y = chain[a], chain[b]
+            if y % x:
+                g = gcd(x, y)
+                chain[a], chain[b] = g, x // g * y
+    return [d for d in chain if d > 1]
+
+
 def invariants_from_diagonal(diag, rows: int) -> AbelianGroupInvariants:
     """Invariant factors and free rank of Z^rows / image(A), read off the
     SNF diagonal of A."""
@@ -195,10 +388,19 @@ def invariants_from_diagonal(diag, rows: int) -> AbelianGroupInvariants:
     return AbelianGroupInvariants(torsion=torsion, free_rank=rows - nonzero)
 
 
+def diagonal_from_invariants(invariants: AbelianGroupInvariants, rows: int,
+                             cols: int) -> list:
+    """The SNF diagonal of a rows x cols matrix with this cokernel, which is
+    unique: ones, then the invariant factors, then min(rows, cols) - rank
+    zeros."""
+    rank = rows - invariants.free_rank
+    torsion = list(invariants.torsion)
+    return [1] * (rank - len(torsion)) + torsion + [0] * (min(rows, cols) - rank)
+
+
 def cokernel(A: Matrix) -> AbelianGroupInvariants:
     """Invariant factors and free rank of Z^rows / image(A)."""
-    _, S, _ = smith_normal_form(A)
-    return invariants_from_diagonal(snf_diagonal(S), len(A))
+    return invariants_from_diagonal(smith_diagonal(A), len(A))
 
 
 # --------------------------------------------------------------- graph matrices

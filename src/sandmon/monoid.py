@@ -34,11 +34,14 @@ class AbelianGroupInvariants:
     free_rank: int = 0
 
     def __post_init__(self):
-        assert self.free_rank >= 0
-        for d in self.torsion:
-            assert d >= 2
-        for a, b in zip(self.torsion, self.torsion[1:]):
-            assert b % a == 0
+        if self.free_rank < 0:
+            raise errors.BadParameters(f"negative free rank {self.free_rank}")
+        if any(d < 2 for d in self.torsion):
+            raise errors.BadParameters(f"invariant factors below 2: {list(self.torsion)}")
+        if any(b % a for a, b in zip(self.torsion, self.torsion[1:])):
+            raise errors.BadParameters(
+                f"invariant factors out of divisibility order: {list(self.torsion)}"
+            )
 
     @property
     def order(self):
@@ -379,7 +382,11 @@ def abelian_invariants(group: FiniteCommMonoid) -> AbelianGroupInvariants:
             c = 0
             k = kernel
             while k > 1:
-                assert k % p == 0
+                if k % p:
+                    raise errors.CertificateFailed(
+                        f"multiplication by powers of {p} has a kernel of {kernel} "
+                        f"elements, not a power of {p}: not the table of a group"
+                    )
                 k //= p
                 c += 1
             if c == counts[-1]:
@@ -471,23 +478,28 @@ def _order_profile(M: FiniteCommMonoid, x: int):
 
 
 def _generating_set(M: FiniteCommMonoid) -> list:
-    n = len(M)
+    """The elements, in index order, that the earlier ones do not generate.
+    Each new generator x grows the submonoid by x + (what it held) and then
+    by x' + g over the generators g, so each element costs one step per
+    generator."""
+    n, add = len(M), M.add
     gens = []
     closed = {M.zero}
     for x in range(n):
         if x in closed:
             continue
         gens.append(x)
-        frontier = [x]
-        closed.add(x)
+        frontier = [add[a][x] for a in closed]
         while frontier:
             a = frontier.pop()
-            for b in list(closed):
-                for c in (M.add[a][b],):
-                    if c not in closed:
-                        closed.add(c)
-                        frontier.append(c)
-    assert len(closed) == n
+            if a not in closed:
+                closed.add(a)
+                row = add[a]
+                frontier.extend(row[g] for g in gens)
+    if len(closed) != n:
+        raise errors.CertificateFailed(
+            f"the submonoid generated by {gens} has {len(closed)} elements, not {n}"
+        )
     return gens
 
 

@@ -21,6 +21,7 @@ from sandmon.ktheory import (
     identity_matrix,
     mat_mul,
     sandpile_group_via_k0,
+    smith_diagonal,
     smith_normal_form,
     snf_diagonal,
 )
@@ -337,6 +338,7 @@ def test_criterion_8_snf_certificates():
             for j in range(n):
                 if i != j:
                     assert S[i][j] == 0, trial
+        assert smith_diagonal(A) == diag, trial
 
         if P is not None:
             base = cokernel(A)
@@ -350,5 +352,6 @@ def test_criterion_8_snf_matches_sympy():
 
     for trial, A, _, _ in criterion_8_matrices():
         _, S, _ = smith_normal_form(A)
-        expected = invariant_factors(sympy.Matrix(A), domain=sympy.ZZ)
-        assert snf_diagonal(S) == [int(d) for d in expected], trial
+        expected = [int(d) for d in invariant_factors(sympy.Matrix(A), domain=sympy.ZZ)]
+        assert snf_diagonal(S) == expected, trial
+        assert smith_diagonal(A) == expected, trial

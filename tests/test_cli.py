@@ -195,16 +195,20 @@ def test_k0_reports(capsys):
 
 def test_k0_runs_one_smith_normal_form(capsys, monkeypatch):
     calls = []
-    snf = ktheory.smith_normal_form
+    cokernel = ktheory.cokernel
 
     def counted(matrix):
         calls.append(matrix)
-        return snf(matrix)
+        return cokernel(matrix)
 
-    monkeypatch.setattr(ktheory, "smith_normal_form", counted)
+    def unused(matrix):
+        raise AssertionError("k0 builds no unimodular transforms")
+
+    monkeypatch.setattr(ktheory, "cokernel", counted)
+    monkeypatch.setattr(ktheory, "smith_normal_form", unused)
     rc, payload, _ = run_json(capsys, "k0", graph_path("t.sg"), "--sandpile-group")
     assert rc == 0
-    assert len(calls) == 1
+    assert calls == [payload["matrix"]]
     assert payload["snf_diagonal"] == [1, 1, 8]
     assert payload["free_rank"] == 0
 

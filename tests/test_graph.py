@@ -238,6 +238,14 @@ def test_shortest_sink_distances():
     assert shortest_sink_distances(chain_graph()) == [2, 1, 0]
 
 
+def test_shortest_sink_distances_name_the_stranded_vertices():
+    # built without validate_sandpile, so a is never checked to reach s
+    g = SandpileGraph(["a", "b", "s"], [("a", "a", 1), ("b", "s", 1)], "s")
+    with pytest.raises(errors.UnreachableSink) as info:
+        shortest_sink_distances(g)
+    assert info.value.vertices == ["a"]
+
+
 def test_constructor_shapes():
     g = loop_sink_graph(2, 3)
     loops = sum(1 for s, r, _ in g.edges if s == r)

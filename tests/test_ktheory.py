@@ -1,10 +1,19 @@
+import os
 import random
+import subprocess
+import sys
+from contextlib import contextmanager
+from math import prod
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sandmon import errors
+from sandmon import errors, ktheory
 from sandmon.graph import (
     WeightedDigraph,
+    conical_violations,
     loop_sink_graph,
     non_cycle_vertices,
     quotient_graph,
@@ -15,18 +24,24 @@ from sandmon.ktheory import (
     adjacency,
     cokernel,
     determinant,
+    diagonal_from_invariants,
     identity_matrix,
     is_unimodular,
     k0_matrix,
     k0_of_weighted_graph,
     mat_mul,
     sandpile_group_via_k0,
+    smith_diagonal,
     smith_normal_form,
     snf_diagonal,
 )
 from sandmon.monoid import AbelianGroupInvariants, abelian_invariants, smallest_ideal
 from sandmon.monoid import enumerate_sandpile_monoid
-from sandmon.realize import make_t_graph
+from sandmon.realize import make_t_graph, random_sandpile_corpus
+from test_acceptance import criterion_8_matrices
+from test_monoid import complete_graph, grid_graph
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def triangle_weight3():
@@ -71,7 +86,40 @@ def _check_certificate(A):
     assert diag[:len(nonzero)] == nonzero, "zeros must trail"
     for a, b in zip(nonzero, nonzero[1:]):
         assert b % a == 0
+    assert_diagonal_matches(A, diag)
+    n = len(A[0]) if A else 0
+    assert diagonal_from_invariants(cokernel(A), len(A), n) == diag
     return diag
+
+
+@contextmanager
+def residues_from_the_first_block():
+    """Give every block a Hadamard bound of zero, so that a square
+    nonsingular block switches to residues right after its first pivot
+    above one.  On the inputs here the exact elimination never outgrows the
+    true bound, so this is how the modular step gets run.  Yields the sizes
+    of the blocks whose determinant was taken."""
+    dense_block, det = ktheory._dense_block, ktheory.determinant
+    sizes = []
+
+    def counted(B):
+        sizes.append(len(B))
+        return det(B)
+
+    with mock.patch.object(ktheory, "_dense_block",
+                           lambda rows, cols: (dense_block(rows, cols)[0], 0)), \
+            mock.patch.object(ktheory, "determinant", counted):
+        yield sizes
+
+
+def assert_diagonal_matches(A, expected=None):
+    """smith_diagonal equals the diagonal of the certified SNF, on the exact
+    elimination and with the modular step forced."""
+    if expected is None:
+        expected = snf_diagonal(smith_normal_form(A)[1])
+    assert smith_diagonal(A) == expected
+    with residues_from_the_first_block():
+        assert smith_diagonal(A) == expected
 
 
 def test_snf_hand_cases():
@@ -184,3 +232,143 @@ def test_sandpile_group_via_k0_rejects_non_conical():
     with pytest.raises(errors.NotConical) as info:
         sandpile_group_via_k0(zp)
     assert info.value.witnesses == ["x"]
+
+
+# ------------------------------------------------- the SNF diagonal alone
+
+
+def test_ragged_matrices_are_rejected():
+    ragged = [[1, 2], [3]]
+    for f in (smith_diagonal, smith_normal_form, cokernel, determinant):
+        with pytest.raises(errors.BadParameters):
+            f(ragged)
+    with pytest.raises(errors.BadParameters):
+        determinant([[1, 2]])
+    with pytest.raises(errors.BadParameters):
+        mat_mul([[1, 2]], [[1, 2]])
+    with pytest.raises(errors.BadParameters):
+        mat_mul(identity_matrix(2), ragged)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Matrices up to 6x6, empty ones included, with small and large entries;
+    some have a zero row or a row that is a multiple of another, so many are
+    singular."""
+    m = draw(st.integers(0, 6))
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10 ** 6, 10 ** 6))
+    A = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        k = draw(st.integers(-3, 3))
+        A[1] = [k * x for x in A[0]]
+    if m and draw(st.booleans()):
+        A[draw(st.integers(0, m - 1))] = [0] * n
+    return A
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_smith_diagonal_matches_the_certified_snf_on_generated_matrices(A):
+    assert_diagonal_matches(A)
+
+
+def test_smith_diagonal_matches_with_the_modular_step_on_criterion_8():
+    for trial, A, _, _ in criterion_8_matrices():
+        assert_diagonal_matches(A)
+
+
+def sandpile_k0_matrix(g):
+    return k0_matrix(quotient_graph(g, non_cycle_vertices(g)))
+
+
+def test_smith_diagonal_matches_on_the_corpus_k0_matrices():
+    for g in random_sandpile_corpus():
+        assert_diagonal_matches(k0_matrix(g))
+        if not conical_violations(g):
+            assert_diagonal_matches(sandpile_k0_matrix(g))
+
+
+def test_smith_diagonal_matches_on_grids_and_complete_graphs():
+    graphs = [grid_graph(n, n) for n in range(6, 15)]
+    graphs += [complete_graph(n) for n in range(20, 101, 10)]
+    for g in graphs:
+        assert_diagonal_matches(sandpile_k0_matrix(g))
+    with residues_from_the_first_block() as sizes:
+        smith_diagonal(sandpile_k0_matrix(grid_graph(12, 12)))
+    assert len(sizes) == 1
+
+
+def test_smith_diagonal_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    matrices = [k0_matrix(g) for g in random_sandpile_corpus(count=60)]
+    matrices += [sandpile_k0_matrix(grid_graph(n, n + 1)) for n in range(2, 6)]
+    for A in matrices:
+        expected = [int(d) for d in invariant_factors(sympy.Matrix(A), domain=sympy.ZZ)]
+        assert smith_diagonal(A) == expected
+        with residues_from_the_first_block():
+            assert smith_diagonal(A) == expected
+
+
+def reduced_laplacian(g):
+    """Out-degree on the diagonal minus the edge counts, over the non-sink
+    vertices."""
+    keep = g.non_sink_vertices()
+    where = {v: i for i, v in enumerate(keep)}
+    L = [[0] * len(keep) for _ in keep]
+    for s, r, _ in g.edges:
+        if s in where:
+            L[where[s]][where[s]] += 1
+            if r in where:
+                L[where[s]][where[r]] -= 1
+    return L
+
+
+def test_sandpile_group_order_is_the_number_of_spanning_trees():
+    # matrix-tree theorem: |SP(G)| = det of the reduced Laplacian
+    for n in (15, 16):
+        g = grid_graph(n, n)
+        inv = sandpile_group_via_k0(g)
+        assert inv.free_rank == 0
+        assert prod(inv.torsion) == determinant(reduced_laplacian(g))
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda d: d + 1, lambda d: d - 1, lambda d: 2 * d, lambda d: d // 2,
+])
+def test_a_wrong_modulus_fails_the_certificate(corrupt):
+    det = ktheory.determinant
+    for A in (sandpile_k0_matrix(grid_graph(10, 10)), sandpile_k0_matrix(complete_graph(12))):
+        with residues_from_the_first_block(), \
+                mock.patch.object(ktheory, "determinant", lambda B: corrupt(det(B))):
+            with pytest.raises(errors.CertificateFailed):
+                smith_diagonal(A)
+
+
+CHECKS_WITHOUT_ASSERTS = """
+from unittest import mock
+from sandmon import errors, ktheory
+try:
+    ktheory.smith_diagonal([[1, 2], [3]])
+except errors.BadParameters:
+    print('BadParameters')
+block, det = ktheory._dense_block, ktheory.determinant
+A = [[4, 1, 2], [1, -6, 2], [2, 2, 8]]
+with mock.patch.object(ktheory, '_dense_block', lambda r, c: (block(r, c)[0], 0)), \
+        mock.patch.object(ktheory, 'determinant', lambda B: det(B) + 1):
+    try:
+        ktheory.smith_diagonal(A)
+    except errors.CertificateFailed:
+        print('CertificateFailed')
+"""
+
+
+def test_shape_and_certificate_checks_run_without_asserts():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", CHECKS_WITHOUT_ASSERTS], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
+    )
+    assert out.stdout == "BadParameters\nCertificateFailed\n"

@@ -228,6 +228,20 @@ def test_abelian_invariants_oracle():
         assert abelian_invariants(g) == expected
 
 
+def test_abelian_invariants_rejects_a_table_that_is_no_group():
+    # Z/6 with x + x = 0: 0, x and 2x are killed by 2, three elements
+    with pytest.raises(errors.CertificateFailed):
+        abelian_invariants(corrupted_copy(cyclic_group_monoid(6), 1, 1, 0))
+
+
+@pytest.mark.parametrize("torsion, free_rank", [
+    ((), -1), ((1,), 0), ((0, 2), 1), ((4, 6), 0), ((6, 2), 0),
+])
+def test_group_invariants_reject_a_non_canonical_form(torsion, free_rank):
+    with pytest.raises(errors.BadParameters):
+        AbelianGroupInvariants(torsion, free_rank)
+
+
 def test_quotient_by_submonoid():
     m = monogenic_monoid(2, 3)
     same = quotient_by_submonoid(m, [m.zero])
@@ -886,6 +900,56 @@ def reference_generating_set(M):
                     break
                 closed = grown
     return gens
+
+
+def loop_generating_set(M):
+    """The earlier ``_generating_set``: each element the closure reaches is
+    added to every element reached so far, O(|M|^2)."""
+    n = len(M)
+    gens = []
+    closed = {M.zero}
+    for x in range(n):
+        if x in closed:
+            continue
+        gens.append(x)
+        frontier = [x]
+        closed.add(x)
+        while frontier:
+            a = frontier.pop()
+            for b in list(closed):
+                c = M.add[a][b]
+                if c not in closed:
+                    closed.add(c)
+                    frontier.append(c)
+    return gens
+
+
+def assert_generating_set_matches_the_loop(M):
+    assert monoid._generating_set(M) == loop_generating_set(M)
+    assert monoid._generating_set(reversed_copy(M)) == loop_generating_set(reversed_copy(M))
+
+
+def test_generating_set_matches_the_loop_on_the_corpus_and_named_examples():
+    graphs = random_sandpile_corpus() + list(named_examples().values())
+    for g in graphs:
+        for M in realization_monoids(g):
+            assert_generating_set_matches_the_loop(M)
+    for orders in ([2, 3], [3, 3, 4], [2, 2, 2, 2]):
+        assert_generating_set_matches_the_loop(direct_sum_of_cyclic(orders))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_sandpile_graphs())
+def test_generating_set_matches_the_loop_on_generated_graphs(g):
+    for M in realization_monoids(g):
+        assert_generating_set_matches_the_loop(M)
+
+
+def test_generating_set_rejects_an_element_outside_the_table():
+    # an entry that names no element leaves the closure one element too big
+    M = corrupted_copy(cyclic_monoid(4), 1, 1, -1)
+    with pytest.raises(errors.CertificateFailed):
+        monoid._generating_set(M)
 
 
 def reference_monoid_isomorphic(M1, M2):
