@@ -221,10 +221,11 @@ def smith_diagonal(A: Matrix) -> list:
     because what remains has a cokernel of that order, so its image holds
     that multiple of every unit vector (Domich, Kannan and Trotter 1987).
     Each later pivot adds its gcd with the modulus, and a block that is left
-    zero modulo it adds the modulus per row.  Those entries must multiply to
-    the modulus, else ``CertificateFailed``.  Non-square and singular blocks
-    stay on the exact elimination.  The entries are put into divisibility
-    order by gcd and lcm at the end.
+    zero modulo it adds the modulus per row.  The entries found since B must
+    divide det B, and those found modulo it must multiply to the modulus,
+    else ``CertificateFailed``.  Non-square and singular blocks stay on the
+    exact elimination.  The entries are put into divisibility order by gcd
+    and lcm at the end.
     """
     m, n = _shape(A)
     rows = {}
@@ -250,14 +251,19 @@ def smith_diagonal(A: Matrix) -> list:
             if any(max(map(abs, r.values())) > block[1] for r in rows.values()):
                 det = abs(determinant(block[0]))
                 if det:
-                    modulus = det // found
+                    modulus, rest = divmod(det, found)
+                    if rest:
+                        raise errors.CertificateFailed(
+                            f"the entries found since the block, {found}, do not "
+                            f"divide its determinant {det}"
+                        )
                     start, size = len(factors), len(rows)
                     _reduce(rows, cols, modulus)
                 block = False
     if modulus is not None:
         tail = [gcd(d, modulus) for d in factors[start:]]
         tail += [modulus] * (size - len(tail))
-        if prod(tail) != modulus or modulus * found != det:
+        if prod(tail) != modulus:
             raise errors.CertificateFailed(
                 f"the entries found modulo {modulus} multiply to {prod(tail)}"
             )

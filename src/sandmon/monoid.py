@@ -384,8 +384,8 @@ def abelian_invariants(group: FiniteCommMonoid) -> AbelianGroupInvariants:
             while k > 1:
                 if k % p:
                     raise errors.CertificateFailed(
-                        f"multiplication by powers of {p} has a kernel of {kernel} "
-                        f"elements, not a power of {p}: not the table of a group"
+                        f"a power of {p} kills {kernel} elements, not a power of "
+                        f"{p}: this is not the table of a group"
                     )
                 k //= p
                 c += 1
@@ -479,9 +479,9 @@ def _order_profile(M: FiniteCommMonoid, x: int):
 
 def _generating_set(M: FiniteCommMonoid) -> list:
     """The elements, in index order, that the earlier ones do not generate.
-    Each new generator x grows the submonoid by x + (what it held) and then
-    by x' + g over the generators g, so each element costs one step per
-    generator."""
+    A new generator x is added to every element generated so far, and each
+    element reached is added to every generator, so each element costs one
+    step per generator."""
     n, add = len(M), M.add
     gens = []
     closed = {M.zero}
@@ -493,13 +493,13 @@ def _generating_set(M: FiniteCommMonoid) -> list:
         while frontier:
             a = frontier.pop()
             if a not in closed:
+                if not 0 <= a < n:
+                    raise errors.CertificateFailed(
+                        f"a sum of {gens} is {a!r}, which names no element"
+                    )
                 closed.add(a)
                 row = add[a]
                 frontier.extend(row[g] for g in gens)
-    if len(closed) != n:
-        raise errors.CertificateFailed(
-            f"the submonoid generated by {gens} has {len(closed)} elements, not {n}"
-        )
     return gens
 
 

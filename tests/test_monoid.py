@@ -945,9 +945,9 @@ def test_generating_set_matches_the_loop_on_generated_graphs(g):
         assert_generating_set_matches_the_loop(M)
 
 
-def test_generating_set_rejects_an_element_outside_the_table():
-    # an entry that names no element leaves the closure one element too big
-    M = corrupted_copy(cyclic_monoid(4), 1, 1, -1)
+@pytest.mark.parametrize("value", [-1, 4])
+def test_generating_set_rejects_an_element_outside_the_table(value):
+    M = corrupted_copy(cyclic_monoid(4), 1, 1, value)
     with pytest.raises(errors.CertificateFailed):
         monoid._generating_set(M)
 
