@@ -5,7 +5,7 @@ Each file in ``tests/golden/cli/`` is the transcript of ``sandmon``
 invocations: for each, the command line, the exit code, then stdout and
 stderr verbatim.  There is one file per ``--json`` report on a
 ``graphs/*.sg`` file, one per ``k0`` and ``k0 --sandpile-group`` report on
-the inputs in ``tests/golden/inputs/`` (the 12x12 grid, K_12, and a
+the inputs in ``tests/golden/inputs/`` (the 4x4 grid, K_12, and a
 weighted graph with two sinks whose matrix has more rows than columns), and
 ``help.txt`` holds ``--help`` for the program and every subcommand at 80
 columns, in the wording of argparse on Python
