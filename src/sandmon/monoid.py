@@ -791,9 +791,10 @@ def enumerate_weighted_monoid(g: WeightedDigraph, sink_relations: bool = True,
     parent = [0]
     parent_gen = [0]
     act = [[] for _ in range(nv)]
+    add_generator = rs.add_generator
     for x, rep in enumerate(found):
         for v in range(nv):
-            cand = rs.normal_form(rep[:v] + (rep[v] + 1,) + rep[v + 1:])
+            cand = add_generator(rep, v)
             y = index.get(cand)
             if y is None:
                 if len(found) >= cap:

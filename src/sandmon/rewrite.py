@@ -448,6 +448,14 @@ def _deglex_key(vec):
     return (sum(vec), vec)
 
 
+def _sparse_rule(lhs, rhs):
+    """A rule as (checks, moves, grown): the (i, lhs[i]) with lhs[i] > 0 it
+    needs, the (i, rhs[i] - lhs[i]) it adds, and the coordinates it grows."""
+    checks = tuple((i, k) for i, k in enumerate(lhs) if k)
+    moves = tuple((i, b - a) for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    return checks, moves, tuple(i for i, d in moves if d > 0)
+
+
 class ReductionSystem:
     """A confluent, terminating rewriting system on count vectors.
 
@@ -456,29 +464,39 @@ class ReductionSystem:
     then canonical: two vectors are congruent exactly when their normal
     forms coincide, and the normal form is the graded-lex least element of
     its congruence class.
+
+    Completion reduces by the first applicable rule in list order, one
+    application at a time, so ``rules`` (and where ``CompletionOverflow``
+    fires) is fixed by the relations alone.  Afterwards the normal forms
+    are the vectors above no left-hand side (Dickson's lemma), so a smaller
+    working set gives the same ones: the rules whose left-hand side is
+    minimal, with every right-hand side in normal form.  ``_by_gen[v]``
+    lists the working rules whose left-hand side uses v.  A reduction keeps
+    a worklist of the coordinates that grew, since only a rule using one of
+    them can have become applicable; ``add_generator(x, v)`` starts it at
+    {v} for an x already in normal form.
     """
 
     def __init__(self, n_gens: int, relations, max_rules: int = 4000):
         self.n_gens = n_gens
         self.rules = []
+        sparse = []  # (checks, moves) of each rule, in list order
+        supports = []  # bit mask of the coordinates each left-hand side uses
         pending = deque()
 
         def reduce(vec):
-            vec = tuple(vec)
-            changed = True
-            while changed:
-                changed = False
-                for lhs, rhs in self.rules:
-                    ok = True
-                    for i in range(n_gens):
-                        if vec[i] < lhs[i]:
-                            ok = False
+            vec = list(vec)
+            while True:
+                for checks, moves in sparse:
+                    for i, k in checks:
+                        if vec[i] < k:
                             break
-                    if ok:
-                        vec = tuple(vec[i] - lhs[i] + rhs[i] for i in range(n_gens))
-                        changed = True
+                    else:
+                        for i, d in moves:
+                            vec[i] += d
                         break
-            return vec
+                else:
+                    return tuple(vec)
 
         def add_rule(x, y):
             x, y = reduce(x), reduce(y)
@@ -490,6 +508,8 @@ class ReductionSystem:
                 raise CompletionOverflow(f"more than {max_rules} rules")
             new_index = len(self.rules)
             self.rules.append((x, y))
+            sparse.append(_sparse_rule(x, y)[:2])
+            supports.append(sum(1 << i for i, k in enumerate(x) if k))
             for j in range(new_index):
                 pending.append((new_index, j))
 
@@ -498,20 +518,59 @@ class ReductionSystem:
 
         while pending:
             i, j = pending.popleft()
-            li, ri = self.rules[i]
-            lj, rj = self.rules[j]
-            if all(a == 0 or b == 0 for a, b in zip(li, lj)):
+            if not supports[i] & supports[j]:
                 # disjoint left-hand sides never create an unresolved overlap
                 continue
-            overlap = tuple(max(a, b) for a, b in zip(li, lj))
-            via_i = tuple(o - a + b for o, a, b in zip(overlap, li, ri))
-            via_j = tuple(o - a + b for o, a, b in zip(overlap, lj, rj))
+            via_i = list(map(max, self.rules[i][0], self.rules[j][0]))
+            via_j = via_i[:]
+            for k, d in sparse[i][1]:
+                via_i[k] += d
+            for k, d in sparse[j][1]:
+                via_j[k] += d
             add_rule(via_i, via_j)
 
-        self._reduce = reduce
+        # The working set.  A left-hand side above another one has a larger
+        # degree, so in graded order one that is not minimal already reduces
+        # by the rules indexed before it.  The completed list reduces each
+        # right-hand side to its normal form.
+        self._by_gen = [[] for _ in range(n_gens)]
+        for lhs, rhs in sorted(self.rules, key=lambda rule: _deglex_key(rule[0])):
+            if self.normal_form(lhs) == lhs:
+                rule = _sparse_rule(lhs, reduce(rhs))
+                for i, _ in rule[0]:
+                    self._by_gen[i].append(rule)
+
+    def _settle(self, vec: list, grown: set) -> tuple:
+        """Rewrite the list vec to its normal form.  Every rule applicable
+        to vec must use a coordinate in ``grown``, the worklist."""
+        by_gen = self._by_gen
+        while grown:
+            for checks, moves, up in by_gen[grown.pop()]:
+                # vec may hold the left-hand side several times over, and
+                # only a grown coordinate is queued again: apply the rule
+                # until it no longer applies
+                while True:
+                    for i, k in checks:
+                        if vec[i] < k:
+                            break
+                    else:
+                        for i, d in moves:
+                            vec[i] += d
+                        grown.update(up)
+                        continue
+                    break
+        return tuple(vec)
 
     def normal_form(self, vec) -> tuple:
-        return self._reduce(vec)
+        vec = list(vec)
+        return self._settle(vec, {i for i, k in enumerate(vec) if k})
+
+    def add_generator(self, x: tuple, v: int) -> tuple:
+        """The normal form of x + e_v, for x already in normal form: only a
+        rule using v can apply to it."""
+        vec = list(x)
+        vec[v] += 1
+        return self._settle(vec, {v})
 
 
 def graph_relations(g: WeightedDigraph, include_sink_relations: bool = True):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -49,7 +50,13 @@ from sandmon.monoid import (
     verify_monoid,
 )
 from sandmon.realize import make_t_graph, named_examples, random_sandpile_corpus
-from sandmon.rewrite import _stable_form, format_element, reduction_system
+from sandmon.rewrite import (
+    _stable_form,
+    format_element,
+    graph_relations,
+    reduction_system,
+)
+from test_rewrite import reference_reduction_system
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -549,10 +556,13 @@ def test_smallest_ideal_certificate_runs_without_asserts():
 
 def reference_weighted_table(g, sink_relations, cap):
     """Oracle for enumerate_weighted_monoid: the closure search by frontiers,
-    then the normal form of every unordered pair.  Returns the table, the
-    zero, the labels, the representatives and the generator map, or raises
-    Inconclusive with the labels discovered before the cap."""
-    rs = reduction_system(g, sink_relations, 4000)
+    then the normal form of every unordered pair, all through the reference
+    reducer.  Returns the table, the zero, the labels, the representatives
+    and the generator map, or raises Inconclusive with the labels discovered
+    before the cap."""
+    _, normal_form = reference_reduction_system(
+        g.n_vertices, graph_relations(g, sink_relations)
+    )
     nv = g.n_vertices
     zero = (0,) * nv
     gens = [tuple(1 if u == v else 0 for u in range(nv)) for v in range(nv)]
@@ -562,7 +572,7 @@ def reference_weighted_table(g, sink_relations, cap):
         nxt = []
         for rep in frontier:
             for gvec in gens:
-                cand = rs.normal_form(tuple(a + b for a, b in zip(rep, gvec)))
+                cand = normal_form(tuple(a + b for a, b in zip(rep, gvec)))
                 if cand not in known:
                     if len(known) >= cap:
                         raise errors.Inconclusive(
@@ -581,15 +591,20 @@ def reference_weighted_table(g, sink_relations, cap):
     for i in range(size):
         for j in range(i, size):
             total = tuple(a + b for a, b in zip(elements[i], elements[j]))
-            table[i][j] = table[j][i] = index[rs.normal_form(total)]
+            table[i][j] = table[j][i] = index[normal_form(total)]
     labels = [format_element(g.names, v) for v in elements]
-    gen_map = {g.names[v]: index[rs.normal_form(gens[v])] for v in range(nv)}
+    gen_map = {g.names[v]: index[normal_form(gens[v])] for v in range(nv)}
     return table, index[zero], labels, elements, gen_map
 
 
 def assert_weighted_matches_reference(g, sink_relations, cap=DEFAULT_WEIGHTED_CAP):
     """Compare with the oracle; returns whether the monoid stayed under the
-    cap.  Above it, both must raise Inconclusive with the same labels."""
+    cap.  Above it, both must raise Inconclusive with the same labels.  The
+    completed rules must equal the reference's either way."""
+    expected_rules, _ = reference_reduction_system(
+        g.n_vertices, graph_relations(g, sink_relations)
+    )
+    assert reduction_system(g, sink_relations).rules == expected_rules
     try:
         expected = reference_weighted_table(g, sink_relations, cap)
     except errors.Inconclusive as exc:
@@ -655,13 +670,13 @@ def test_weighted_table_uses_one_normal_form_per_element_and_generator(monkeypat
 
     def counting(*args):
         rs = real(*args)
-        normal_form = rs.normal_form
+        add_generator = rs.add_generator
 
-        def counted(vec):
-            counts.append(vec)
-            return normal_form(vec)
+        def counted(x, v):
+            counts.append((x, v))
+            return add_generator(x, v)
 
-        rs.normal_form = counted
+        rs.add_generator = counted
         return rs
 
     monkeypatch.setattr(monoid, "reduction_system", counting)
@@ -669,6 +684,62 @@ def test_weighted_table_uses_one_normal_form_per_element_and_generator(monkeypat
     M = enumerate_weighted_monoid(g, sink_relations=False)
     assert len(M) == 8
     assert len(counts) == len(M) * g.n_vertices
+
+
+def test_weighted_monoid_is_the_staircase_under_the_left_hand_sides():
+    """The normal forms of a complete system are the vectors above no
+    left-hand side (Dickson's lemma).  So the monoid is finite exactly when
+    every generator v has a pure-power left-hand side k_v e_v, and its
+    elements are then the vectors of the box [0, k_v) above no left-hand
+    side, counted here without the closure search."""
+    outcomes = []
+    for g in random_sandpile_corpus(count=24):
+        for sr in (True, False):
+            lhss = [lhs for lhs, _ in reduction_system(g, sr).rules]
+            powers = {}
+            for lhs in lhss:
+                support = [v for v, k in enumerate(lhs) if k]
+                if len(support) == 1:
+                    v = support[0]
+                    powers[v] = min(powers.get(v, lhs[v]), lhs[v])
+            finite = len(powers) == g.n_vertices
+            outcomes.append(finite)
+            if not finite:
+                with pytest.raises(errors.Inconclusive):
+                    enumerate_weighted_monoid(g, sink_relations=sr, cap=300)
+                continue
+            box = [
+                vec for vec in itertools.product(
+                    *(range(powers[v]) for v in range(g.n_vertices))
+                )
+                if not any(all(a >= b for a, b in zip(vec, lhs)) for lhs in lhss)
+            ]
+            M = enumerate_weighted_monoid(g, sink_relations=sr)
+            assert len(M) == len(box)
+            assert sorted(M.reps) == box
+    # without the sink relation the sink is a free generator
+    assert outcomes == [True, False] * 24
+
+
+def test_rule_budget_overflow_is_inconclusive():
+    for g in random_sandpile_corpus(count=12):
+        for sr in (True, False):
+            rules, _ = reference_reduction_system(
+                g.n_vertices, graph_relations(g, sr)
+            )
+            budget = len(rules) - 1
+            with pytest.raises(errors.Inconclusive) as info:
+                enumerate_weighted_monoid(g, sink_relations=sr, cap=50,
+                                          max_rules=budget)
+            assert str(info.value) == (
+                f"rule completion exceeded its budget (more than {budget} rules)"
+            )
+            assert info.value.partial_labels is None
+            try:
+                enumerate_weighted_monoid(g, sink_relations=sr, cap=50,
+                                          max_rules=len(rules))
+            except errors.Inconclusive as exc:
+                assert exc.partial_labels is not None
 
 
 def test_units_are_a_group_on_the_corpus():

@@ -1,16 +1,20 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sandmon import errors
+from sandmon import errors, rewrite
 from sandmon.graph import (
     WeightedDigraph,
     loop_sink_graph,
+    non_cycle_vertices,
+    quotient_graph,
     rose_graph,
     validate_sandpile,
 )
 from sandmon.rewrite import (
+    CompletionOverflow,
     ReductionSystem,
     StabilizationTrace,
     _closure_search,
@@ -21,6 +25,7 @@ from sandmon.rewrite import (
     config_to_str,
     equivalent,
     format_element,
+    graph_relations,
     parse_config,
     potential,
     r_transform,
@@ -29,7 +34,7 @@ from sandmon.rewrite import (
     stabilize_weighted,
     topple_once,
 )
-from sandmon.realize import make_t_graph, random_sandpile_corpus
+from sandmon.realize import make_t_graph, named_examples, random_sandpile_corpus
 
 G23 = loop_sink_graph(2, 3)
 T = make_t_graph()
@@ -555,3 +560,111 @@ def test_reduction_system_direct():
     assert [rs.normal_form((k,)) for k in range(12)] == [
         (0,), (1,), (2,), (3,), (4,), (2,), (3,), (4,), (2,), (3,), (4,), (2,)
     ]
+
+
+def reference_reduction_system(n_gens, relations, max_rules=4000):
+    """Oracle for ReductionSystem: critical-pair completion that reduces by
+    the first applicable rule in list order, one application at a time,
+    rescanning the rules from the start after each.  Returns the rules and
+    that reducer, which gives the normal forms once completion is done;
+    raises CompletionOverflow past ``max_rules`` rules."""
+    rules = []
+    pending = deque()
+
+    def reduce(vec):
+        vec = tuple(vec)
+        changed = True
+        while changed:
+            changed = False
+            for lhs, rhs in rules:
+                if all(a >= b for a, b in zip(vec, lhs)):
+                    vec = tuple(a - b + c for a, b, c in zip(vec, lhs, rhs))
+                    changed = True
+                    break
+        return vec
+
+    def add_rule(x, y):
+        x, y = reduce(x), reduce(y)
+        if x == y:
+            return
+        if (sum(x), x) < (sum(y), y):
+            x, y = y, x
+        if len(rules) >= max_rules:
+            raise CompletionOverflow(f"more than {max_rules} rules")
+        rules.append((x, y))
+        for j in range(len(rules) - 1):
+            pending.append((len(rules) - 1, j))
+
+    for x, y in relations:
+        add_rule(tuple(x), tuple(y))
+    while pending:
+        i, j = pending.popleft()
+        li, ri = rules[i]
+        lj, rj = rules[j]
+        if all(a == 0 or b == 0 for a, b in zip(li, lj)):
+            continue
+        overlap = tuple(max(a, b) for a, b in zip(li, lj))
+        add_rule(tuple(o - a + b for o, a, b in zip(overlap, li, ri)),
+                 tuple(o - a + b for o, a, b in zip(overlap, lj, rj)))
+    return rules, reduce
+
+
+def completion_inputs():
+    """(graph, sink relations) pairs: a corpus in both variants, the named
+    examples in both, and the no-cycle quotients the realization enumerates."""
+    graphs = random_sandpile_corpus(count=30) + list(named_examples().values())
+    cases = [(g, sr) for g in graphs for sr in (True, False)]
+    cases += [(quotient_graph(g, non_cycle_vertices(g)), False) for g in graphs]
+    return cases + [(diverging_graph(), True), (rose_graph(2, 5), False)]
+
+
+def test_completion_and_normal_forms_match_the_reference():
+    rng = random.Random(8)
+    for g, sr in completion_inputs():
+        rules, reduce = reference_reduction_system(
+            g.n_vertices, graph_relations(g, sr)
+        )
+        rs = reduction_system(g, sr)
+        assert rs.rules == rules
+        n = g.n_vertices
+        # the working set: the minimal left-hand sides, with normal forms
+        # on the right
+        lhss = [lhs for lhs, _ in rules]
+        minimal = {lhs for lhs in lhss if not any(
+            other != lhs and all(a <= b for a, b in zip(other, lhs))
+            for other in lhss
+        )}
+        working = {rule for rules_v in rs._by_gen for rule in rules_v}
+        lhs_of = {tuple(dict(checks).get(i, 0) for i in range(n)): moves
+                  for checks, moves, _ in working}
+        assert set(lhs_of) == minimal
+        for lhs, moves in lhs_of.items():
+            rhs = list(lhs)
+            for i, d in moves:
+                rhs[i] += d
+            assert reduce(rhs) == tuple(rhs)
+        for _ in range(20):
+            vec = tuple(rng.randrange(7) for _ in range(n))
+            nf = rs.normal_form(vec)
+            assert nf == reduce(vec), (g.names, sr, vec)
+            for v in range(n):
+                plus = tuple(k + (u == v) for u, k in enumerate(nf))
+                assert rs.add_generator(nf, v) == reduce(plus)
+
+
+def test_equivalent_falls_back_to_the_search_when_completion_overflows(monkeypatch):
+    loop_sink = WeightedDigraph(
+        ["x", "s"],
+        [("x", "x", 5), ("x", "x", 5), ("x", "s", 5), ("x", "s", 5), ("x", "s", 5)],
+    )
+    g = diverging_graph()
+    # the completed rules decide what the budgeted search cannot
+    assert equivalent(g, (2, 0), (1, 0), budget=30) is False
+    real = rewrite.reduction_system
+    monkeypatch.setattr(rewrite, "reduction_system",
+                        lambda graph, sr: real(graph, sr, max_rules=1))
+    with pytest.raises(CompletionOverflow):
+        rewrite.reduction_system(g, True)
+    assert equivalent(g, (2, 0), (1, 0), budget=30) is None
+    assert equivalent(loop_sink, (1, 0), (2, 0), budget=1000) is False
+    assert equivalent(loop_sink, (5, 0), (2, 1), budget=1000) is True
