@@ -1,12 +1,15 @@
-"""Byte-for-byte pins of the ``monoid``, ``wmonoid``, ``classify`` and
-``k0`` reports and of the ``--help`` texts.
+"""Byte-for-byte pins of the ``monoid``, ``wmonoid``, ``classify``,
+``group`` and ``k0`` reports and of the ``--help`` texts.
 
 Each file in ``tests/golden/cli/`` is the transcript of ``sandmon``
 invocations: for each, the command line, the exit code, then stdout and
 stderr verbatim.  There is one file per ``--json`` report on a
 ``graphs/*.sg`` file, one per ``k0`` and ``k0 --sandpile-group`` report on
 the inputs in ``tests/golden/inputs/`` (the 4x4 grid, K_12, and a
-weighted graph with two sinks whose matrix has more rows than columns), and
+weighted graph with two sinks whose matrix has more rows than columns), one
+per ``group`` report on every graph of both directories, in text and
+``--json`` (``rose_1_4`` has no sink, and the inputs are over the cap or
+have two sinks), one ``group --cap`` below the monoid's size, and
 ``help.txt`` holds ``--help`` for the program and every subcommand at 80
 columns, in the wording of argparse on Python
 3.10 to 3.12 (3.13 lays out usage lines differently).  Error outcomes
@@ -45,6 +48,7 @@ K0_COMMANDS = {
     "k0": ("k0",),
     "k0-sandpile-group": ("k0", "--sandpile-group"),
 }
+GROUP_ARGVS = (("group",), ("group", "--json"))
 SUBCOMMANDS = ("check", "stabilize", "monoid", "wmonoid", "group", "k0", "realize",
                "classify", "prime", "cycle-suite", "export-dot")
 
@@ -61,6 +65,16 @@ def cases() -> dict:
         for key, (command, *flags) in K0_COMMANDS.items():
             argv = [command, f"tests/golden/inputs/{graph.name}", *flags, "--json"]
             out[f"{graph.stem}.{key}.txt"] = [argv]
+    for graph in sorted([*(ROOT / "graphs").glob("*.sg"),
+                         *(ROOT / "tests" / "golden" / "inputs").glob("*.sg")]):
+        path = graph.relative_to(ROOT).as_posix()
+        out[f"{graph.stem}.group.txt"] = [
+            [command, path, *flags] for command, *flags in GROUP_ARGVS
+        ]
+    out["t.group-cap.txt"] = [
+        [command, "graphs/t.sg", "--cap", "20", *flags]
+        for command, *flags in GROUP_ARGVS
+    ]
     return out
 
 
