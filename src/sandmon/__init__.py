@@ -20,12 +20,14 @@ from .graph import (
     validate_sandpile,
     weighted_cycle_graph,
 )
+from .group import SandpileGroup, sandpile_group
 from .ktheory import (
     adjacency,
     cokernel,
     determinant,
     k0_matrix,
     k0_of_weighted_graph,
+    reduced_laplacian,
     sandpile_group_via_k0,
     smith_diagonal,
     smith_normal_form,

@@ -25,6 +25,7 @@ from .graph import (
     reduce_graph,
     validate_sandpile,
 )
+from .group import sandpile_group
 
 
 def _step_budget(args) -> int:
@@ -43,6 +44,11 @@ def _step_budget(args) -> int:
     if budget < 0:
         raise errors.BadParameters(f"step budget must be >= 0, got {budget}")
     return budget
+
+
+def _cap(args, default: int) -> int:
+    """``--cap``, else ``default``; BadParameters for a cap below 1."""
+    return monoid._check_cap(default if args.cap is None else args.cap)
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -172,7 +178,7 @@ def _monoid_lines(payload: dict) -> list:
 
 def cmd_monoid(args) -> int:
     g = _load_sandpile(args.graph)
-    M = monoid.enumerate_sandpile_monoid(g, cap=args.cap or monoid.DEFAULT_SANDPILE_CAP)
+    M = monoid.enumerate_sandpile_monoid(g, cap=_cap(args, monoid.DEFAULT_SANDPILE_CAP))
     payload = {"report": "monoid", **_monoid_payload(M)}
     _emit(args, payload, _monoid_lines(payload))
     return 0
@@ -181,7 +187,7 @@ def cmd_monoid(args) -> int:
 def cmd_wmonoid(args) -> int:
     g, _ = _load_graph(args.graph)
     sink_relations = args.variant == "with-sinks"
-    cap = args.cap or monoid.DEFAULT_WEIGHTED_CAP
+    cap = _cap(args, monoid.DEFAULT_WEIGHTED_CAP)
     try:
         M = monoid.enumerate_weighted_monoid(g, sink_relations=sink_relations, cap=cap)
     except errors.Inconclusive as exc:
@@ -219,19 +225,18 @@ def cmd_wmonoid(args) -> int:
 
 def cmd_group(args) -> int:
     g = _load_sandpile(args.graph)
-    M = monoid.enumerate_sandpile_monoid(g, cap=args.cap or monoid.DEFAULT_SANDPILE_CAP)
-    ideal = monoid.smallest_ideal(M)
-    invariants = monoid.abelian_invariants(ideal.group)
+    group = sandpile_group(g, cap=_cap(args, monoid.DEFAULT_SANDPILE_CAP))
+    invariants = group.invariants
     payload = {
         "report": "group",
-        "monoid_size": len(M),
-        "size": len(ideal.elements),
-        "identity": M.labels[ideal.identity],
+        "monoid_size": group.monoid_size,
+        "size": group.size,
+        "identity": group.identity_label,
         **_invariants_fields(invariants),
     }
     _emit(args, payload, [
-        f"sandpile group order: {len(ideal.elements)}",
-        f"identity: {M.labels[ideal.identity]}",
+        f"sandpile group order: {group.size}",
+        f"identity: {group.identity_label}",
         f"invariant factors: {list(invariants.torsion)}",
         f"group: {invariants.describe()}",
     ])

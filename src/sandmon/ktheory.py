@@ -372,6 +372,21 @@ def k0_matrix(g: WeightedDigraph) -> Matrix:
     return out
 
 
+def reduced_laplacian(g: SandpileGraph) -> Matrix:
+    """Rows and columns indexed by the non-sink vertices; column v is the
+    grains v loses when it fires: its out-degree at v, less one per edge
+    from v to each non-sink vertex (so loops cancel).  Its cokernel is the
+    sandpile group (Dhar 1990; Speer 1993 for directed graphs)."""
+    where = {v: i for i, v in enumerate(g.non_sink_vertices())}
+    L = [[0] * len(where) for _ in where]
+    for s, r, _ in g.edges:
+        j = where[s]
+        L[j][j] += 1
+        if r in where:
+            L[where[r]][j] -= 1
+    return L
+
+
 def k0_of_weighted_graph(g: WeightedDigraph) -> AbelianGroupInvariants:
     return cokernel(k0_matrix(g))
 

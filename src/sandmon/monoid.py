@@ -688,6 +688,26 @@ def classify_cyclic_sum(M: FiniteCommMonoid):
 # ---------------------------------------------------------------- enumerations
 
 
+def _check_cap(cap: int) -> int:
+    """``cap``, or BadParameters when it is below 1."""
+    if cap < 1:
+        raise errors.BadParameters(f"cap must be >= 1, got {cap}")
+    return cap
+
+
+def _sandpile_monoid_size(g: SandpileGraph, cap: int) -> int:
+    """The number of stable configurations, the product of the non-sink
+    out-degrees; SizeOverBudget when it exceeds ``cap``."""
+    _check_cap(cap)
+    size = prod(g.out_degree(v) for v in g.non_sink_vertices())
+    if size > cap:
+        raise errors.SizeOverBudget(
+            f"sandpile monoid has {size} elements, cap is {cap}"
+            " (raise it with --cap)"
+        )
+    return size
+
+
 def enumerate_sandpile_monoid(g: SandpileGraph,
                               cap: int = DEFAULT_SANDPILE_CAP) -> FiniteCommMonoid:
     """All stable configurations under add-then-stabilise with the sink
@@ -700,14 +720,9 @@ def enumerate_sandpile_monoid(g: SandpileGraph,
     nonzero digit of x, so by the abelian property (Dhar 1990) row x is
     act[i] applied to row x'.  That is |M|*n stabilisations, not |M|^2 / 2.
     """
+    size = _sandpile_monoid_size(g, cap)
     non_sink = g.non_sink_vertices()
     radices = [g.out_degree(v) for v in non_sink]
-    size = prod(radices)
-    if size > cap:
-        raise errors.SizeOverBudget(
-            f"sandpile monoid has {size} elements, cap is {cap}"
-            " (raise it with --cap)"
-        )
     nv = g.n_vertices
     places = [0] * len(non_sink)
     acc = 1
@@ -776,6 +791,7 @@ def enumerate_weighted_monoid(g: WeightedDigraph, sink_relations: bool = True,
     """
     if not g.is_vertex_weighted():
         raise errors.BadParameters("graph is not vertex weighted")
+    _check_cap(cap)
     try:
         rs = reduction_system(g, sink_relations, max_rules)
     except CompletionOverflow as exc:

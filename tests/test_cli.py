@@ -180,6 +180,16 @@ def test_group_report(capsys):
     assert payload["monoid_size"] == 27
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("command", ["monoid", "wmonoid", "group"])
+def test_cap_below_one_is_bad_parameters(capsys, command, cap):
+    # 0 used to fall back to the default cap, and -1 reached the cap check
+    rc, out, err = run(capsys, command, graph_path("t.sg"), "--cap", cap)
+    assert rc == 1
+    assert out == ""
+    assert err == f"error[BadParameters]: cap must be >= 1, got {cap}\n"
+
+
 def test_k0_reports(capsys):
     rc, payload, _ = run_json(capsys, "k0", graph_path("rose_1_4.sg"))
     assert rc == 0
