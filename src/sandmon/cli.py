@@ -52,10 +52,12 @@ def _cap(args, default: int) -> int:
 
 
 def _emit(args, payload: dict, text_lines) -> None:
+    """Print ``payload`` as JSON under ``--json``, else the lines that
+    ``text_lines()`` returns; only the form printed is rendered."""
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -78,15 +80,16 @@ def _invariants_fields(inv) -> dict:
 
 def cmd_check(args) -> int:
     g = _load_sandpile(args.graph)
+    reduced = g.is_reduced()
     payload = {
         "report": "check",
         "valid": True,
         "sink": g.sink_name,
-        "reduced": g.is_reduced(),
+        "reduced": reduced,
     }
-    reduced = "yes" if g.is_reduced() else "no"
-    _emit(args, payload, [
-        f"valid sandpile graph; sink={g.sink_name}; reduced={reduced}",
+    _emit(args, payload, lambda: [
+        f"valid sandpile graph; sink={g.sink_name};"
+        f" reduced={'yes' if reduced else 'no'}",
     ])
     return 0
 
@@ -114,8 +117,8 @@ def cmd_stabilize(args) -> int:
         mode = "free"
     payload = {"report": "stabilize", "mode": mode}
     payload.update(trace.to_json(used))
-    _emit(args, payload, [
-        f"result: {rewrite.config_to_str(used, trace.result) or '(empty)'}",
+    _emit(args, payload, lambda: [
+        f"result: {payload['result'] or '(empty)'}",
         f"steps: {trace.steps}",
         "odometer: " + (
             ",".join(f"{used.names[v]}={k}" for v, k in enumerate(trace.odometer) if k)
@@ -180,7 +183,7 @@ def cmd_monoid(args) -> int:
     g = _load_sandpile(args.graph)
     M = monoid.enumerate_sandpile_monoid(g, cap=_cap(args, monoid.DEFAULT_SANDPILE_CAP))
     payload = {"report": "monoid", **_monoid_payload(M)}
-    _emit(args, payload, _monoid_lines(payload))
+    _emit(args, payload, lambda: _monoid_lines(payload))
     return 0
 
 
@@ -208,7 +211,7 @@ def cmd_wmonoid(args) -> int:
             "partial_count": len(exc.partial_labels or []),
             "note": note,
         }
-        _emit(args, payload, [
+        _emit(args, payload, lambda: [
             f"error[{exc.name}]: {exc}",
             f"partial elements discovered: {len(exc.partial_labels or [])}",
         ] + ([note] if note else []))
@@ -219,7 +222,7 @@ def cmd_wmonoid(args) -> int:
         "inconclusive": False,
         **_monoid_payload(M),
     }
-    _emit(args, payload, _monoid_lines(payload))
+    _emit(args, payload, lambda: _monoid_lines(payload))
     return 0
 
 
@@ -234,7 +237,7 @@ def cmd_group(args) -> int:
         "identity": group.identity_label,
         **_invariants_fields(invariants),
     }
-    _emit(args, payload, [
+    _emit(args, payload, lambda: [
         f"sandpile group order: {group.size}",
         f"identity: {group.identity_label}",
         f"invariant factors: {list(invariants.torsion)}",
@@ -266,7 +269,7 @@ def cmd_k0(args) -> int:
         "snf_diagonal": diag,
         **_invariants_fields(invariants),
     }
-    _emit(args, payload, [
+    _emit(args, payload, lambda: [
         "matrix:",
         *("  " + line for line in ktheory.matrix_to_lines(matrix)),
         f"snf diagonal: {diag}",
@@ -299,7 +302,7 @@ def cmd_realize(args) -> int:
     g = _load_sandpile(args.graph)
     report = realize.realization(g, name=Path(args.graph).stem)
     payload = {"report": "realize", **report.to_json()}
-    _emit(args, payload, _realize_lines(payload))
+    _emit(args, payload, lambda: _realize_lines(payload))
     return 0 if report.ok else 1
 
 
@@ -337,14 +340,18 @@ def cmd_classify(args) -> int:
         "cyclic_sum": cyclic,
         "witness": list(witness) if witness else None,
     }
-    lines = [f"refinement: {structure is not None}"]
-    if structure:
-        for members, order in zip(structure.classes, structure.orders):
-            lines.append(f"class {{{', '.join(members)}}} -> C{order}")
-    if witness:
-        lines.append("witness equation: " + " , ".join(witness))
-    if cyclic is not None:
-        lines.append("cyclic sum: " + (" + ".join(f"C{n}" for n in cyclic) or "trivial"))
+
+    def lines():
+        out = [f"refinement: {structure is not None}"]
+        if structure:
+            for members, order in zip(structure.classes, structure.orders):
+                out.append(f"class {{{', '.join(members)}}} -> C{order}")
+        if witness:
+            out.append("witness equation: " + " , ".join(witness))
+        if cyclic is not None:
+            out.append("cyclic sum: " + (" + ".join(f"C{n}" for n in cyclic) or "trivial"))
+        return out
+
     _emit(args, payload, lines)
     return 0
 
@@ -353,7 +360,7 @@ def cmd_prime(args) -> int:
     g = _load_sandpile(args.graph)
     case = realize.prime_order_case(g)
     payload = {"report": "prime", **case.to_json()}
-    _emit(args, payload, [
+    _emit(args, payload, lambda: [
         f"case: {case.kind}",
         f"monoid size: {case.size}",
         f"loops: {case.loops}",
@@ -369,7 +376,7 @@ def cmd_cycle_suite(args) -> int:
         raise errors.BadParameters(f"bad weights list {args.weights!r}") from None
     report = realize.cycle_suite(weights)
     payload = {"report": "cycle-suite", **report.to_json()}
-    _emit(args, payload, [
+    _emit(args, payload, lambda: [
         f"weights: {report.weights}",
         f"order: {report.order}",
         *(f"{key}: size {size}" for key, size in sorted(report.sizes.items())),

@@ -35,6 +35,10 @@ class UnknownVertex(SandmonError):
     pass
 
 
+class SinkHasNoWeight(SandmonError):
+    """A vertex weight was asked of a sink with no carried weight."""
+
+
 class NotHereditarySaturated(SandmonError):
     pass
 

@@ -11,7 +11,18 @@ some of its edges were dropped.
 
 from __future__ import annotations
 
+import operator
+
 from . import errors
+
+
+def _integer(value, error, what: str) -> int:
+    """``value`` as an int, raising ``error`` unless it is an integer (a
+    float or a numeric string is refused rather than truncated)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 class WeightedDigraph:
@@ -37,32 +48,47 @@ class WeightedDigraph:
         for src, dst, weight in edges:
             s = self._resolve(src)
             r = self._resolve(dst)
-            weight = int(weight)
+            weight = _integer(weight, errors.BadParameters, "edge weight")
             if weight < 1:
                 raise errors.BadParameters(f"edge weight must be >= 1, got {weight}")
             resolved.append((s, r, weight))
-        self.edges = tuple(resolved)
 
-        self.carried_weights = {}
+        carried = {}
         if carried_weights:
             for v, w in dict(carried_weights).items():
-                w = int(w)
+                w = _integer(w, errors.BadParameters, "vertex weight")
                 if w < 1:
                     raise errors.BadParameters(f"vertex weight must be >= 1, got {w}")
-                self.carried_weights[self._resolve(v)] = w
+                carried[self._resolve(v)] = w
+        self._set_edges(tuple(resolved), carried)
 
-        out = [[] for _ in names]
-        incoming = [[] for _ in names]
-        for eid, (s, r, _) in enumerate(self.edges):
-            out[s].append(eid)
-            incoming[r].append(eid)
-        self.out_edge_ids = tuple(tuple(lst) for lst in out)
-        self.in_edge_ids = tuple(tuple(lst) for lst in incoming)
+    @classmethod
+    def _from_parts(cls, names: tuple, index: dict, edges: tuple,
+                    carried_weights: dict) -> WeightedDigraph:
+        """A graph from parts that are already checked: unique names, their
+        index map, (source, target, weight) index triples with positive
+        integer weights, and carried weights keyed by index."""
+        g = cls.__new__(cls)
+        g.names = names
+        g.index = index
+        g._set_edges(edges, carried_weights)
+        return g
+
+    def _set_edges(self, edges: tuple, carried_weights: dict) -> None:
+        """Store the edges and carried weights and build the adjacency."""
+        self.edges = edges
+        self.carried_weights = carried_weights
+        out = [[] for _ in self.names]
+        incoming = [[] for _ in self.names]
         # toppling targets, one entry per outgoing edge
-        self.out_targets = tuple(
-            tuple(self.edges[eid][1] for eid in self.out_edge_ids[v])
-            for v in range(len(names))
-        )
+        targets = [[] for _ in self.names]
+        for eid, (s, r, _) in enumerate(edges):
+            out[s].append(eid)
+            targets[s].append(r)
+            incoming[r].append(eid)
+        self.out_edge_ids = tuple(map(tuple, out))
+        self.in_edge_ids = tuple(map(tuple, incoming))
+        self.out_targets = tuple(map(tuple, targets))
 
     def _resolve(self, v) -> int:
         if isinstance(v, str):
@@ -70,7 +96,7 @@ class WeightedDigraph:
                 return self.index[v]
             except KeyError:
                 raise errors.UnknownVertex(f"unknown vertex {v!r}") from None
-        v = int(v)
+        v = _integer(v, errors.UnknownVertex, "vertex index")
         if not 0 <= v < len(self.names):
             raise errors.UnknownVertex(f"vertex index {v} out of range")
         return v
@@ -105,7 +131,9 @@ class WeightedDigraph:
             return self.carried_weights[v]
         eids = self.out_edge_ids[v]
         if not eids:
-            raise ValueError(f"vertex {self.names[v]!r} is a sink and carries no weight")
+            raise errors.SinkHasNoWeight(
+                f"vertex {self.names[v]!r} is a sink and carries no weight"
+            )
         return max(self.edges[e][2] for e in eids)
 
     def is_vertex_weighted(self) -> bool:
@@ -152,11 +180,16 @@ class SandpileGraph(WeightedDigraph):
     @classmethod
     def _balanced(cls, g: WeightedDigraph, sink: int) -> SandpileGraph:
         """``g`` with each edge weighted by its source's out-degree and no
-        carried weights, sharing g's resolved names and adjacency."""
+        carried weights, sharing g's resolved names and adjacency, and its
+        edges too where they already carry those weights."""
         sp = cls.__new__(cls)
         sp.names = g.names
         sp.index = g.index
-        sp.edges = tuple((s, r, len(g.out_edge_ids[s])) for s, r, _ in g.edges)
+        degree = [len(eids) for eids in g.out_edge_ids]
+        if all(w == degree[s] for s, _, w in g.edges):
+            sp.edges = g.edges
+        else:
+            sp.edges = tuple([(s, r, degree[s]) for s, r, _ in g.edges])
         sp.carried_weights = {}
         sp.out_edge_ids = g.out_edge_ids
         sp.in_edge_ids = g.in_edge_ids
@@ -172,7 +205,7 @@ class SandpileGraph(WeightedDigraph):
         return [v for v in range(self.n_vertices) if v != self.sink]
 
     def is_reduced(self) -> bool:
-        return all(self.out_degree(v) != 1 for v in range(self.n_vertices))
+        return all(len(eids) != 1 for eids in self.out_edge_ids)
 
     def __repr__(self):
         return (
@@ -201,45 +234,67 @@ def validate_sandpile(g: WeightedDigraph, sink_hint=None) -> SandpileGraph:
             f"sink hint {sink_hint!r} does not match structural sink {g.names[sink]!r}"
         )
 
-    reaches = {sink}
-    frontier = [sink]
-    while frontier:
-        v = frontier.pop()
+    reaches = [False] * g.n_vertices
+    reaches[sink] = True
+    found = [sink]
+    for v in found:
         for eid in g.in_edge_ids[v]:
             src = g.edges[eid][0]
-            if src not in reaches:
-                reaches.add(src)
-                frontier.append(src)
-    stranded = [g.names[v] for v in range(g.n_vertices) if v not in reaches]
-    if stranded:
-        raise errors.UnreachableSink(stranded)
+            if not reaches[src]:
+                reaches[src] = True
+                found.append(src)
+    if len(found) < g.n_vertices:
+        raise errors.UnreachableSink(
+            [g.names[v] for v in range(g.n_vertices) if not reaches[v]]
+        )
 
     return SandpileGraph._balanced(g, sink)
+
+
+def _renumber(g: WeightedDigraph, kept) -> tuple:
+    """(new, names, index) for the vertices v of ``g`` with ``kept[v]``
+    true: new[v] is v's index among them (-1 for a dropped vertex), then
+    their names in order and the name index."""
+    new = [-1] * g.n_vertices
+    names = []
+    for v, keep in enumerate(kept):
+        if keep:
+            new[v] = len(names)
+            names.append(g.names[v])
+    names = tuple(names)
+    return new, names, {name: i for i, name in enumerate(names)}
 
 
 def reduce_graph(g: SandpileGraph) -> SandpileGraph:
     """Contract irrelevant vertices (out-degree exactly one) to a fixed point.
 
     The single edge v -> u is removed, incoming edges of v are redirected to
-    u, and v disappears.  Contractions run in ascending vertex index order;
-    the sandpile monoid is preserved up to isomorphism.
+    u, and v disappears; the sandpile monoid is preserved up to isomorphism.
+    A contraction changes no other vertex's out-degree, so the irrelevant
+    vertices are those of ``g``, and an edge into one ends at the end of its
+    out-degree-one chain: one O(V + E) pass, which keeps the names, edge
+    order and sink of contracting one vertex at a time.
     """
-    names = list(g.names)
-    edges = [(g.names[s], g.names[r], w) for (s, r, w) in g.edges]
-    while True:
-        out_count = {n: 0 for n in names}
-        target = {}
-        for s, r, _ in edges:
-            out_count[s] += 1
-            target[s] = r
-        irrelevant = [n for n in names if out_count[n] == 1]
-        if not irrelevant:
-            break
-        name = irrelevant[0]
-        u = target[name]
-        edges = [(s, u if r == name else r, w) for (s, r, w) in edges if s != name]
-        names.remove(name)
-    return validate_sandpile(WeightedDigraph(names, edges))
+    targets = g.out_targets
+    n = g.n_vertices
+    # end[v]: the vertex an edge into v is redirected to; None until known,
+    # -1 while v is on the chain being followed
+    end = [v if len(t) != 1 else None for v, t in enumerate(targets)]
+    for v in range(n):
+        chain = []
+        u = v
+        while end[u] is None:
+            end[u] = -1
+            chain.append(u)
+            u = targets[u][0]
+        if end[u] == -1:
+            cycle = chain[chain.index(u):]
+            raise errors.UnreachableSink([g.names[c] for c in cycle])
+        for c in chain:
+            end[c] = end[u]
+    new, names, index = _renumber(g, [end[v] == v for v in range(n)])
+    edges = tuple((new[s], new[end[r]], w) for s, r, w in g.edges if new[s] >= 0)
+    return validate_sandpile(WeightedDigraph._from_parts(names, index, edges, {}))
 
 
 # ------------------------------------------------------- structural vertex sets
@@ -294,26 +349,23 @@ def quotient_graph(g: WeightedDigraph, subset) -> WeightedDigraph:
         raise errors.NotHereditarySaturated(
             "subset is not hereditary and saturated"
         )
-    keep = [v for v in range(g.n_vertices) if v not in H]
-    names = [g.names[v] for v in keep]
-    edges = [
-        (g.names[s], g.names[r], w)
-        for (s, r, w) in g.edges
-        if s not in H and r not in H
-    ]
+    new, names, index = _renumber(g, [v not in H for v in range(g.n_vertices)])
+    edges = []
+    heaviest = [0] * g.n_vertices  # heaviest surviving out-edge, 0 for none
+    for s, r, w in g.edges:
+        if new[s] >= 0 and new[r] >= 0:
+            edges.append((new[s], new[r], w))
+            if w > heaviest[s]:
+                heaviest[s] = w
     # record the parent vertex weight only where the surviving edges alone
     # would derive a different value
     carried = {}
-    for v in keep:
-        if not g.out_edge_ids[v]:
-            continue
-        parent_weight = g.weight(v)
-        survivors = [
-            g.edges[e][2] for e in g.out_edge_ids[v] if g.edges[e][1] not in H
-        ]
-        if not survivors or max(survivors) != parent_weight:
-            carried[g.names[v]] = parent_weight
-    return WeightedDigraph(names, edges, carried)
+    for v, nv in enumerate(new):
+        if nv >= 0 and g.out_edge_ids[v]:
+            parent_weight = g.weight(v)
+            if heaviest[v] != parent_weight:
+                carried[nv] = parent_weight
+    return WeightedDigraph._from_parts(names, index, tuple(edges), carried)
 
 
 def shortest_sink_distances(g: SandpileGraph) -> list[int]:
@@ -442,55 +494,66 @@ def parse_graph(text: str):
 
     Lines: ``vertex <name>``, ``edge <src> <dst> [w=<int>]``, optional
     ``sink <name>`` hint; ``#`` starts a comment.  Returns the graph and the
-    sink hint (or None).
+    sink hint (or None).  Each name is resolved to its index once, as the
+    line is read.
     """
     names = []
-    declared = set()
+    index = {}
     edges = []
+    weight_of = {}
     sink_hint = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         parts = line.split()
+        if not parts:
+            continue
         kind = parts[0]
-        if kind == "vertex":
-            if len(parts) != 2:
-                raise errors.GraphFormatError(f"line {lineno}: vertex takes one name")
-            if parts[1] in declared:
-                raise errors.GraphFormatError(f"line {lineno}: duplicate vertex {parts[1]!r}")
-            names.append(parts[1])
-            declared.add(parts[1])
-        elif kind == "edge":
-            if len(parts) not in (3, 4):
+        if kind == "edge":
+            if len(parts) == 4:
+                _, src, dst, token = parts
+                # the weight of each distinct w= token is checked once
+                weight = weight_of.get(token)
+                if weight is None:
+                    if not token.startswith("w="):
+                        raise errors.GraphFormatError(f"line {lineno}: expected w=<int>")
+                    try:
+                        weight = int(token[2:])
+                    except ValueError:
+                        raise errors.GraphFormatError(f"line {lineno}: bad weight") from None
+                    if weight < 1:
+                        raise errors.GraphFormatError(f"line {lineno}: weight must be >= 1")
+                    weight_of[token] = weight
+            elif len(parts) == 3:
+                _, src, dst = parts
+                weight = 1
+            else:
                 raise errors.GraphFormatError(
                     f"line {lineno}: edge takes source, target and optional w=<int>"
                 )
-            weight = 1
-            if len(parts) == 4:
-                if not parts[3].startswith("w="):
-                    raise errors.GraphFormatError(f"line {lineno}: expected w=<int>")
-                try:
-                    weight = int(parts[3][2:])
-                except ValueError:
-                    raise errors.GraphFormatError(f"line {lineno}: bad weight") from None
-                if weight < 1:
-                    raise errors.GraphFormatError(f"line {lineno}: weight must be >= 1")
-            for endpoint in (parts[1], parts[2]):
-                if endpoint not in declared:
-                    raise errors.GraphFormatError(
-                        f"line {lineno}: undeclared vertex {endpoint!r}"
-                    )
-            edges.append((parts[1], parts[2], weight))
+            try:
+                edges.append((index[src], index[dst], weight))
+            except KeyError:
+                undeclared = src if src not in index else dst
+                raise errors.GraphFormatError(
+                    f"line {lineno}: undeclared vertex {undeclared!r}"
+                ) from None
+        elif kind == "vertex":
+            if len(parts) != 2:
+                raise errors.GraphFormatError(f"line {lineno}: vertex takes one name")
+            if parts[1] in index:
+                raise errors.GraphFormatError(f"line {lineno}: duplicate vertex {parts[1]!r}")
+            index[parts[1]] = len(names)
+            names.append(parts[1])
         elif kind == "sink":
             if len(parts) != 2:
                 raise errors.GraphFormatError(f"line {lineno}: sink takes one name")
-            if parts[1] not in declared:
+            if parts[1] not in index:
                 raise errors.GraphFormatError(f"line {lineno}: undeclared vertex {parts[1]!r}")
             sink_hint = parts[1]
         else:
             raise errors.GraphFormatError(f"line {lineno}: unknown directive {kind!r}")
-    return WeightedDigraph(names, edges), sink_hint
+    return WeightedDigraph._from_parts(tuple(names), index, tuple(edges), {}), sink_hint
 
 
 def graph_to_text(g: WeightedDigraph, sink=None) -> str:

@@ -4,9 +4,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from sandmon import cli, ktheory, monoid, realize
+from sandmon import cli, ktheory, monoid, realize, rewrite
 from sandmon.cli import build_parser, main
-from sandmon.graph import graph_to_text
+from sandmon.graph import SandpileGraph, graph_to_text
 from sandmon.realize import named_examples, random_sandpile_corpus, realization
 
 SCHEMA = json.loads(
@@ -221,6 +221,55 @@ def test_k0_runs_one_smith_normal_form(capsys, monkeypatch):
     assert calls == [payload["matrix"]]
     assert payload["snf_diagonal"] == [1, 1, 8]
     assert payload["free_rank"] == 0
+
+
+def test_json_mode_renders_no_text_lines(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("rendered the text report under --json")
+
+    monkeypatch.setattr(ktheory, "matrix_to_lines", refuse)
+    monkeypatch.setattr(cli, "_monoid_lines", refuse)
+    monkeypatch.setattr(cli, "_realize_lines", refuse)
+    for argv, code in ((["k0", graph_path("t.sg"), "--sandpile-group"], 0),
+                       (["k0", graph_path("t.sg")], 0),
+                       (["monoid", graph_path("t.sg")], 0),
+                       (["wmonoid", graph_path("g_2_3.sg")], 0),
+                       (["wmonoid", graph_path("t.sg")], 1),  # inconclusive
+                       (["realize", graph_path("t.sg")], 0)):
+        rc, _, _ = run_json(capsys, *argv)
+        assert rc == code
+
+
+def test_stabilize_renders_the_result_once(capsys, monkeypatch):
+    calls = []
+    config_to_str = rewrite.config_to_str
+
+    def counted(g, c):
+        calls.append(c)
+        return config_to_str(g, c)
+
+    monkeypatch.setattr(rewrite, "config_to_str", counted)
+    for json_flag in ([], ["--json"]):
+        calls.clear()
+        rc, out, _ = run(capsys, "stabilize", graph_path("g_2_3.sg"),
+                         "--config", "x=12", *json_flag)
+        assert rc == 0 and "x=3" in out
+        assert len(calls) == 1
+
+
+def test_check_decides_reduced_once(capsys, monkeypatch):
+    calls = []
+    is_reduced = SandpileGraph.is_reduced
+
+    def counted(g):
+        calls.append(g)
+        return is_reduced(g)
+
+    monkeypatch.setattr(SandpileGraph, "is_reduced", counted)
+    for json_flag in ([], ["--json"]):
+        calls.clear()
+        assert run(capsys, "check", graph_path("t.sg"), *json_flag)[0] == 0
+        assert len(calls) == 1
 
 
 def test_realize_report(capsys):

@@ -329,11 +329,52 @@ def test_parse_errors(text):
     ("vertex a\nvertex s\nsink t  # hint\n", "line 3: undeclared vertex 't'"),
     ("edge a a\nvertex a\n", "line 1: undeclared vertex 'a'"),
     ("sink s\nvertex s\n", "line 1: undeclared vertex 's'"),
+    # precedence on one line: arity, then the w= form, then the weight value,
+    # then the undeclared endpoint, source first
+    ("vertex a\nedge a b w=x\n", "line 2: bad weight"),
+    ("vertex a\nedge b c w=1.5\n", "line 2: bad weight"),
+    ("vertex a\nedge a b q=2\n", "line 2: expected w=<int>"),
+    ("vertex a\nedge a b w=0\n", "line 2: weight must be >= 1"),
+    ("vertex a\nedge b\n",
+     "line 2: edge takes source, target and optional w=<int>"),
+    ("vertex a\nedge b c w=1 extra\n",
+     "line 2: edge takes source, target and optional w=<int>"),
+    ("edge c d w=2\nvertex c\n", "line 1: undeclared vertex 'c'"),
+    # '#' in the middle of an edge line cuts it there
+    ("vertex a\nvertex b\nedge a#b\n",
+     "line 3: edge takes source, target and optional w=<int>"),
+    ("vertex a\nvertex b\nedge a c# b\n", "line 3: undeclared vertex 'c'"),
+    ("vertex a\nvertex b\nedge a b w=#3\n", "line 3: bad weight"),
+    ("vertex a\nvertex b\nedge a b w=3 # c d\nedge b z\n",
+     "line 4: undeclared vertex 'z'"),
+    # tab separators and CRLF line endings
+    ("vertex\ta\r\nvertex b\r\nedge\ta\tz\r\n", "line 3: undeclared vertex 'z'"),
+    ("vertex a\r\nvertex a\r\n", "line 2: duplicate vertex 'a'"),
+    ("vertex a\r\n\r\nedge a a\tw=\t2\r\n",
+     "line 3: edge takes source, target and optional w=<int>"),
+    # a sink line before its vertex
+    ("vertex a\nsink b\nvertex b\n", "line 2: undeclared vertex 'b'"),
+    ("vertex a\nsink b c\n", "line 2: sink takes one name"),
+    ("vertex a\nvertex a b\n", "line 2: vertex takes one name"),
+    ("vertex a\n  # only a comment\n\tflurb a\n", "line 3: unknown directive 'flurb'"),
 ])
 def test_parse_error_messages_name_the_line_and_vertex(text, message):
     with pytest.raises(errors.GraphFormatError) as info:
         parse_graph(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, names, edges, hint", [
+    ("vertex a\nvertex b\nedge a b#w=3\nedge a b w=2#x\nedge a b #\n",
+     ("a", "b"), ((0, 1, 1), (0, 1, 2), (0, 1, 1)), None),
+    ("vertex\ta\r\nvertex b\r\nedge\ta\tb\tw=3\r\nsink\tb\r\n",
+     ("a", "b"), ((0, 1, 3),), "b"),
+    ("vertex a\n\x0cvertex s\x0bedge a s\u2028sink s",
+     ("a", "s"), ((0, 1, 1),), "s"),
+])
+def test_parse_separators_and_mid_line_comments(text, names, edges, hint):
+    g, got_hint = parse_graph(text)
+    assert (g.names, g.edges, got_hint) == (names, edges, hint)
 
 
 def test_dot_export():
@@ -400,3 +441,312 @@ def test_validate_sandpile_reuses_the_parsed_graph(monkeypatch):
     monkeypatch.setattr(WeightedDigraph, "__init__", refuse)
     for g, sp in zip(raw, validated):
         assert validate_sandpile(g).edges == sp.edges
+
+
+# ------------------------------------------- name-based reference constructions
+#
+# The parser, quotient and reduction build their graphs from index triples.
+# These references are the earlier name-based versions, which hand vertex
+# names to the public constructor; each new graph must match its reference
+# attribute for attribute.
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+def reference_parse_graph(text):
+    names = []
+    declared = set()
+    edges = []
+    sink_hint = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        kind = parts[0]
+        if kind == "vertex":
+            if len(parts) != 2:
+                raise errors.GraphFormatError(f"line {lineno}: vertex takes one name")
+            if parts[1] in declared:
+                raise errors.GraphFormatError(f"line {lineno}: duplicate vertex {parts[1]!r}")
+            names.append(parts[1])
+            declared.add(parts[1])
+        elif kind == "edge":
+            if len(parts) not in (3, 4):
+                raise errors.GraphFormatError(
+                    f"line {lineno}: edge takes source, target and optional w=<int>"
+                )
+            weight = 1
+            if len(parts) == 4:
+                if not parts[3].startswith("w="):
+                    raise errors.GraphFormatError(f"line {lineno}: expected w=<int>")
+                try:
+                    weight = int(parts[3][2:])
+                except ValueError:
+                    raise errors.GraphFormatError(f"line {lineno}: bad weight") from None
+                if weight < 1:
+                    raise errors.GraphFormatError(f"line {lineno}: weight must be >= 1")
+            for endpoint in (parts[1], parts[2]):
+                if endpoint not in declared:
+                    raise errors.GraphFormatError(
+                        f"line {lineno}: undeclared vertex {endpoint!r}"
+                    )
+            edges.append((parts[1], parts[2], weight))
+        elif kind == "sink":
+            if len(parts) != 2:
+                raise errors.GraphFormatError(f"line {lineno}: sink takes one name")
+            if parts[1] not in declared:
+                raise errors.GraphFormatError(f"line {lineno}: undeclared vertex {parts[1]!r}")
+            sink_hint = parts[1]
+        else:
+            raise errors.GraphFormatError(f"line {lineno}: unknown directive {kind!r}")
+    return WeightedDigraph(names, edges), sink_hint
+
+
+def reference_quotient_graph(g, subset):
+    H = {g._resolve(v) for v in subset}
+    if not is_hereditary_saturated(g, H):
+        raise errors.NotHereditarySaturated("subset is not hereditary and saturated")
+    keep = [v for v in range(g.n_vertices) if v not in H]
+    names = [g.names[v] for v in keep]
+    edges = [
+        (g.names[s], g.names[r], w)
+        for (s, r, w) in g.edges
+        if s not in H and r not in H
+    ]
+    carried = {}
+    for v in keep:
+        if not g.out_edge_ids[v]:
+            continue
+        parent_weight = g.weight(v)
+        survivors = [
+            g.edges[e][2] for e in g.out_edge_ids[v] if g.edges[e][1] not in H
+        ]
+        if not survivors or max(survivors) != parent_weight:
+            carried[g.names[v]] = parent_weight
+    return WeightedDigraph(names, edges, carried)
+
+
+def reference_reduce_graph(g):
+    """Contract the first out-degree-one vertex, recount, repeat."""
+    names = list(g.names)
+    edges = [(g.names[s], g.names[r], w) for (s, r, w) in g.edges]
+    while True:
+        out_count = {n: 0 for n in names}
+        target = {}
+        for s, r, _ in edges:
+            out_count[s] += 1
+            target[s] = r
+        irrelevant = [n for n in names if out_count[n] == 1]
+        if not irrelevant:
+            break
+        name = irrelevant[0]
+        u = target[name]
+        edges = [(s, u if r == name else r, w) for (s, r, w) in edges if s != name]
+        names.remove(name)
+    return validate_sandpile(WeightedDigraph(names, edges))
+
+
+GRAPH_ATTRIBUTES = ("names", "index", "edges", "out_edge_ids", "in_edge_ids",
+                    "out_targets", "carried_weights")
+
+
+def assert_same_graph(a, b):
+    assert type(a) is type(b)
+    for attr in GRAPH_ATTRIBUTES + (("sink",) if isinstance(a, SandpileGraph) else ()):
+        assert getattr(a, attr) == getattr(b, attr), attr
+        if attr == "index":
+            assert list(a.index) == list(b.index), attr
+
+
+def assert_graph_layer_matches_reference(text):
+    """parse, and for a sandpile graph quotient and reduce, against the
+    references; returns the validated graph or None."""
+    parsed, hint = parse_graph(text)
+    expected, expected_hint = reference_parse_graph(text)
+    assert_same_graph(parsed, expected)
+    assert hint == expected_hint
+    # the parsed weights, unlike the balanced ones, let a dropped edge be
+    # the heaviest, so the quotient must carry the parent weight
+    S = non_cycle_vertices(parsed)
+    assert_same_graph(quotient_graph(parsed, S), reference_quotient_graph(parsed, S))
+    try:
+        g = validate_sandpile(parsed, sink_hint=hint)
+    except errors.SandmonError:
+        return None
+    S = non_cycle_vertices(g)
+    assert_same_graph(quotient_graph(g, S), reference_quotient_graph(g, S))
+    assert_same_graph(reduce_graph(g), reference_reduce_graph(g))
+    return g
+
+
+def grid_sandpile(rows, cols):
+    """The rows x cols grid: each cell has four neighbours, a missing one
+    replaced by an edge to the sink."""
+    names = [f"c{i}_{j}" for i in range(rows) for j in range(cols)] + ["s"]
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                a, b = i + di, j + dj
+                inside = 0 <= a < rows and 0 <= b < cols
+                edges.append((f"c{i}_{j}", f"c{a}_{b}" if inside else "s", 1))
+    return validate_sandpile(WeightedDigraph(names, edges))
+
+
+def complete_sandpile(n):
+    """K_n with its last vertex as the sink."""
+    names = [f"k{i}" for i in range(n)]
+    edges = [(a, b, 1) for a in names[:-1] for b in names if a != b]
+    return validate_sandpile(WeightedDigraph(names, edges))
+
+
+def chain_sandpile(lengths):
+    """One hub x with a loop and one out-degree-one chain per entry of
+    ``lengths``, each ending at the sink; every chain vertex also receives
+    an edge from x, so contractions redirect edges along whole chains."""
+    names = ["x", "s"]
+    edges = [("x", "x", 1)]
+    for c, length in enumerate(lengths):
+        chain = [f"p{c}_{i}" for i in range(length)]
+        names[1:1] = chain
+        for a, b in zip(chain, chain[1:] + ["s"]):
+            edges.append((a, b, 1))
+        edges.extend(("x", v, 1) for v in chain)
+    return validate_sandpile(WeightedDigraph(names, edges))
+
+
+def test_graph_layer_matches_reference_on_the_graph_files():
+    paths = sorted(GRAPHS.glob("*.sg")) + sorted(GOLDEN_INPUTS.glob("*.sg"))
+    assert len(paths) == 8
+    validated = [assert_graph_layer_matches_reference(p.read_text(encoding="utf-8"))
+                 for p in paths]
+    # rose_1_4 has no sink and weighted_sinks two
+    assert sum(g is not None for g in validated) == 6
+
+
+def test_graph_layer_matches_reference_on_the_corpus_and_examples():
+    from sandmon.realize import named_examples
+    graphs = random_sandpile_corpus() + list(named_examples().values())
+    reducible = 0
+    for g in graphs:
+        assert_graph_layer_matches_reference(graph_to_text(g))
+        reducible += not g.is_reduced()
+    assert reducible > 0
+
+
+def test_graph_layer_matches_reference_on_grids_complete_graphs_and_chains():
+    graphs = [grid_sandpile(r, c) for r, c in ((1, 1), (1, 5), (3, 4), (6, 6))]
+    graphs += [complete_sandpile(n) for n in (2, 3, 7, 20)]
+    graphs += [chain_sandpile(lengths) for lengths in ([1], [3], [2, 4, 1])]
+    graphs.append(chain_graph())
+    for g in graphs:
+        assert_graph_layer_matches_reference(graph_to_text(g))
+    assert reduce_graph(chain_sandpile([2, 4, 1])).names == ("x", "s")
+
+
+@st.composite
+def sandpile_texts(draw):
+    """Graph text of a random sandpile graph on 1-7 vertices: vertex i > 0
+    has one edge to a lower vertex, so all reach the sink v0, plus 0-3
+    further edges (loops and parallel edges allowed) and random weights."""
+    n = draw(st.integers(1, 7))
+    lines = [f"vertex v{i}" for i in draw(st.permutations(range(n)))]
+    for v in range(1, n):
+        targets = [draw(st.integers(0, v - 1))]
+        targets += draw(st.lists(st.integers(0, n - 1), max_size=3))
+        for t in draw(st.permutations(targets)):
+            w = draw(st.integers(1, 3))
+            lines.append(f"edge v{v} v{t}" + (f" w={w}" if w > 1 else ""))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(sandpile_texts())
+def test_graph_layer_matches_reference_on_generated_graphs(text):
+    assert assert_graph_layer_matches_reference(text) is not None
+
+
+def test_parse_quotient_and_reduce_build_no_graph_through_init(monkeypatch):
+    texts = [p.read_text(encoding="utf-8") for p in sorted(GRAPHS.glob("*.sg"))]
+    texts += [graph_to_text(g) for g in (grid_sandpile(3, 3), chain_sandpile([2, 3]),
+                                         make_t_graph())]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a graph through WeightedDigraph.__init__")
+
+    monkeypatch.setattr(WeightedDigraph, "__init__", refuse)
+    reductions = quotients = 0
+    for text in texts:
+        g, hint = parse_graph(text)
+        try:
+            g = validate_sandpile(g, sink_hint=hint)
+        except errors.NoSink:
+            continue
+        quotients += quotient_graph(g, non_cycle_vertices(g)).n_vertices > 0
+        reductions += reduce_graph(g).n_vertices < g.n_vertices
+    assert quotients >= 4 and reductions >= 2
+
+
+def test_reduce_rejects_an_out_degree_one_cycle():
+    # built without validate_sandpile: a and b only feed each other
+    g = SandpileGraph(["a", "b", "c", "s"],
+                      [("c", "a", 1), ("c", "s", 1), ("a", "b", 1), ("b", "a", 1)], "s")
+    with pytest.raises(errors.UnreachableSink) as info:
+        reduce_graph(g)
+    assert info.value.vertices == ["a", "b"]
+    loop = SandpileGraph(["a", "s"], [("a", "a", 1)], "s")
+    with pytest.raises(errors.UnreachableSink) as info:
+        reduce_graph(loop)
+    assert info.value.vertices == ["a"]
+
+
+def test_is_reduced():
+    assert not chain_graph().is_reduced()
+    assert reduce_graph(chain_graph()).is_reduced()
+    assert loop_sink_graph(2, 3).is_reduced()
+    assert not chain_sandpile([1]).is_reduced()
+
+
+# --------------------------------------------- the public constructor's checks
+
+@pytest.mark.parametrize("edges, carried, error, message", [
+    ([("a", "b", 2.5)], None, errors.BadParameters,
+     "edge weight must be an integer, got 2.5"),
+    ([("a", "b", "x")], None, errors.BadParameters,
+     "edge weight must be an integer, got 'x'"),
+    ([("a", "b", "2")], None, errors.BadParameters,
+     "edge weight must be an integer, got '2'"),
+    ([("a", "b", 0)], None, errors.BadParameters, "edge weight must be >= 1, got 0"),
+    ([("a", "b", 1)], {"a": 3.7}, errors.BadParameters,
+     "vertex weight must be an integer, got 3.7"),
+    ([("a", "b", 1)], {"a": 0}, errors.BadParameters, "vertex weight must be >= 1, got 0"),
+    ([(0.9, "b", 1)], None, errors.UnknownVertex,
+     "vertex index must be an integer, got 0.9"),
+    ([("a", 1.0, 1)], None, errors.UnknownVertex,
+     "vertex index must be an integer, got 1.0"),
+    ([("a", 2, 1)], None, errors.UnknownVertex, "vertex index 2 out of range"),
+    ([("a", "c", 1)], None, errors.UnknownVertex, "unknown vertex 'c'"),
+    ([("a", "b", 1)], {0.5: 2}, errors.UnknownVertex,
+     "vertex index must be an integer, got 0.5"),
+])
+def test_constructor_refuses_rather_than_truncates(edges, carried, error, message):
+    with pytest.raises(error) as info:
+        WeightedDigraph(["a", "b"], edges, carried)
+    assert str(info.value) == message
+
+
+def test_constructor_keeps_integer_weights_and_indices():
+    g = WeightedDigraph(["a", "b"], [("a", "b", 2), (0, 1, True)], {"a": 3, 1: 4})
+    assert g.edges == ((0, 1, 2), (0, 1, 1))
+    assert g.carried_weights == {0: 3, 1: 4}
+
+
+def test_weight_of_a_sink_is_a_typed_error():
+    g = WeightedDigraph(["a", "b"], [("a", "b", 2)])
+    assert g.weight("a") == 2
+    with pytest.raises(errors.SinkHasNoWeight) as info:
+        g.weight("b")
+    assert str(info.value) == "vertex 'b' is a sink and carries no weight"
+    # a carried weight is the weight, sink or not
+    assert WeightedDigraph(["a", "b"], [], {"b": 3}).weight("b") == 3
