@@ -59,7 +59,12 @@ class WeightedDigraph:
                 w = _integer(w, errors.BadParameters, "vertex weight")
                 if w < 1:
                     raise errors.BadParameters(f"vertex weight must be >= 1, got {w}")
-                carried[self._resolve(v)] = w
+                v = self._resolve(v)
+                if v in carried:
+                    raise errors.BadParameters(
+                        f"two carried weights for vertex {names[v]!r}"
+                    )
+                carried[v] = w
         self._set_edges(tuple(resolved), carried)
 
     @classmethod

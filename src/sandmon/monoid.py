@@ -417,7 +417,8 @@ def group_completion(M: FiniteCommMonoid) -> AbelianGroupInvariants:
 
 def quotient_by_submonoid(M: FiniteCommMonoid, I) -> FiniteCommMonoid:
     """Quotient by the congruence a ~ b iff a + i = b + j for some i, j in
-    the submonoid I.  All of I collapses onto the zero class."""
+    the submonoid I.  All of I collapses onto the zero class, and each
+    generator of M names its class."""
     n = len(M)
     I = sorted({i if isinstance(i, int) else M.labels.index(i) for i in I})
     if M.zero not in I:
@@ -458,6 +459,11 @@ def quotient_by_submonoid(M: FiniteCommMonoid, I) -> FiniteCommMonoid:
         zero=class_of[M.zero],
         labels=[M.labels[r] for r in class_reps],
         reps=[M.reps[r] for r in class_reps] if M.reps else None,
+        generators=(
+            {name: class_of[x] for name, x in M.generators.items()}
+            if M.generators is not None
+            else None
+        ),
     )
 
 

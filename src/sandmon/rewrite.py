@@ -29,10 +29,6 @@ Configuration = tuple
 # ------------------------------------------------------------- configurations
 
 
-def zero_config(g: WeightedDigraph) -> tuple:
-    return (0,) * g.n_vertices
-
-
 def config_from_counts(g: WeightedDigraph, counts) -> tuple:
     """Build a configuration from a mapping of vertex (name or index) to count."""
     out = [0] * g.n_vertices
@@ -101,6 +97,42 @@ def r_transform(g: WeightedDigraph, v) -> tuple:
     return tuple(out)
 
 
+def _firing_rules(g: WeightedDigraph) -> tuple:
+    """(by_vertex, sweep), cached on the (immutable) graph: by_vertex[v] is
+    (weight, targets) for a regular v and None for a sink, and sweep lists
+    (v, weight, targets) for the regular vertices in index order."""
+    rules = g.__dict__.get("_firing_rules")
+    if rules is None:
+        by_vertex = tuple(
+            (g.weight(v), g.out_targets[v]) if g.out_edge_ids[v] else None
+            for v in range(g.n_vertices)
+        )
+        sweep = tuple((v, *r) for v, r in enumerate(by_vertex) if r is not None)
+        rules = g._firing_rules = (by_vertex, sweep)
+    return rules
+
+
+def _fire_once(g: WeightedDigraph, c: tuple, v: int, sink_rule: bool):
+    """c after one firing of v, or None when v cannot fire.  A regular v
+    needs weight(v) grains: it loses them and sends one grain along each
+    outgoing edge.  A sink fires only under ``sink_rule``, and then it
+    fires one grain away."""
+    rule = _firing_rules(g)[0][v]
+    if rule is None:
+        if not sink_rule:
+            return None
+        w, targets = 1, ()
+    else:
+        w, targets = rule
+    if c[v] < w:
+        return None
+    out = list(c)
+    out[v] -= w
+    for t in targets:
+        out[t] += 1
+    return tuple(out)
+
+
 def topple_once(g: WeightedDigraph, c, v) -> tuple:
     """Fire the regular vertex v once: remove weight(v) grains, deliver one
     along each outgoing edge.  Sink grains are retained."""
@@ -108,16 +140,12 @@ def topple_once(g: WeightedDigraph, c, v) -> tuple:
     v = g._resolve(v)
     if not g.out_edge_ids[v]:
         raise errors.SinkCannotTopple(f"{g.names[v]!r} is a sink")
-    w = g.weight(v)
-    if c[v] < w:
+    out = _fire_once(g, c, v, sink_rule=False)
+    if out is None:
         raise errors.VertexStable(
-            f"{g.names[v]!r} holds {c[v]} grains, needs {w} to fire"
+            f"{g.names[v]!r} holds {c[v]} grains, needs {g.weight(v)} to fire"
         )
-    out = list(c)
-    out[v] -= w
-    for t in g.out_targets[v]:
-        out[t] += 1
-    return tuple(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -137,17 +165,6 @@ class StabilizationTrace:
         }
 
 
-def _firing_data(g: WeightedDigraph):
-    """Per-vertex (weight, targets) for regular vertices, None for sinks."""
-    data = []
-    for v in range(g.n_vertices):
-        if g.out_edge_ids[v]:
-            data.append((g.weight(v), g.out_targets[v]))
-        else:
-            data.append(None)
-    return data
-
-
 def _fire(g: WeightedDigraph, counts: list, odometer=None, fired=None,
           budget=None):
     """The firing kernel: topple ``counts`` (a list) in place until no
@@ -160,11 +177,7 @@ def _fire(g: WeightedDigraph, counts: list, odometer=None, fired=None,
     k * weight(v) grains and loops only return grains.  A ``budget`` cuts
     the batch that would pass it short: steps == budget, exhausted is True.
     """
-    data = g.__dict__.get("_sweep_data")
-    if data is None:
-        data = g._sweep_data = tuple(
-            (v, g.weight(v), g.out_targets[v]) for v in g.regular_vertices()
-        )
+    data = _firing_rules(g)[1]
     steps = 0
     swept = True
     while swept:
@@ -264,23 +277,13 @@ def potential(g: SandpileGraph, c) -> int:
 # ------------------------------------------------------------ congruence search
 
 
-def _successor_moves(g: WeightedDigraph, data, sink_rule_vertices, c):
+def _successor_moves(g: WeightedDigraph, sink_rule: bool, c):
     """All one-step firings from c: (vertex, successor) pairs."""
     moves = []
     for v in range(len(c)):
-        d = data[v]
-        if d is not None:
-            w, targets = d
-            if c[v] >= w:
-                nxt = list(c)
-                nxt[v] -= w
-                for t in targets:
-                    nxt[t] += 1
-                moves.append((v, tuple(nxt)))
-        elif v in sink_rule_vertices and c[v] >= 1:
-            nxt = list(c)
-            nxt[v] -= 1
-            moves.append((v, tuple(nxt)))
+        nxt = _fire_once(g, c, v, sink_rule)
+        if nxt is not None:
+            moves.append((v, nxt))
     return moves
 
 
@@ -293,24 +296,13 @@ class CommonReduct:
 
 def apply_steps(g: WeightedDigraph, c, steps, include_sink_relations=True) -> tuple:
     """Replay a firing sequence; used to verify common reducts."""
-    data = _firing_data(g)
     c = _check_config(g, c)
     for v in steps:
-        if data[v] is not None:
-            w, targets = data[v]
-            if c[v] < w:
-                raise errors.VertexStable(f"cannot replay firing of {g.names[v]!r}")
-            nxt = list(c)
-            nxt[v] -= w
-            for t in targets:
-                nxt[t] += 1
-            c = tuple(nxt)
-        else:
-            if not include_sink_relations or c[v] < 1:
-                raise errors.VertexStable(f"cannot replay sink firing of {g.names[v]!r}")
-            nxt = list(c)
-            nxt[v] -= 1
-            c = tuple(nxt)
+        nxt = _fire_once(g, c, v, include_sink_relations)
+        if nxt is None:
+            kind = "firing" if g.out_edge_ids[v] else "sink firing"
+            raise errors.VertexStable(f"cannot replay {kind} of {g.names[v]!r}")
+        c = nxt
     return c
 
 
@@ -321,10 +313,6 @@ def _closure_search(g, a, b, budget, include_sink_relations):
     ``disjoint`` (both closures fully enumerated, no intersection) and
     ``budget``.
     """
-    data = _firing_data(g)
-    sink_rule_vertices = (
-        frozenset(g.sinks()) if include_sink_relations else frozenset()
-    )
     parents = ({a: None}, {b: None})
     frontiers = ([a], [b])
 
@@ -352,7 +340,7 @@ def _closure_search(g, a, b, budget, include_sink_relations):
             for c in frontier:
                 if exhausted:
                     break
-                for v, succ in _successor_moves(g, data, sink_rule_vertices, c):
+                for v, succ in _successor_moves(g, include_sink_relations, c):
                     if remaining <= 0:
                         exhausted = True
                         break

@@ -287,10 +287,10 @@ def test_realize_golden_round_trip(capsys, tmp_path):
     golden = tmp_path / "golden"
     rc, out, _ = run(capsys, "realize", "--golden", str(golden))
     assert rc == 0
-    assert out.count("wrote") == 6
+    assert out.count("wrote") == 5
     rc, out, _ = run(capsys, "realize", "--golden", str(golden))
     assert rc == 0
-    assert out.count("ok") == 6
+    assert out.count("ok") == 5
     # corrupt one stored report and expect a mismatch
     victim = golden / "t.json"
     data = json.loads(victim.read_text())

@@ -729,6 +729,8 @@ def test_is_reduced():
     ([("a", "c", 1)], None, errors.UnknownVertex, "unknown vertex 'c'"),
     ([("a", "b", 1)], {0.5: 2}, errors.UnknownVertex,
      "vertex index must be an integer, got 0.5"),
+    ([("a", "b", 1)], {"a": 3, 0: 4}, errors.BadParameters,
+     "two carried weights for vertex 'a'"),
 ])
 def test_constructor_refuses_rather_than_truncates(edges, carried, error, message):
     with pytest.raises(error) as info:

@@ -261,6 +261,31 @@ def test_quotient_by_submonoid():
         quotient_by_submonoid(cyclic_group_monoid(5), [0, 1])  # not closed
 
 
+def test_quotient_by_submonoid_names_the_class_of_each_generator():
+    assert quotient_by_submonoid(cyclic_monoid(3), [0]).generators == {"x": 1}
+    assert quotient_by_submonoid(trivial_monoid(), [0]).generators == {}
+    assert quotient_by_submonoid(direct_sum(cyclic_monoid(2), cyclic_monoid(2)),
+                                 [0]).generators is None
+    g = validate_sandpile(WeightedDigraph(
+        ["a", "b", "s"],
+        [("a", "a", 1), ("a", "b", 1), ("b", "s", 1), ("b", "s", 1)],
+    ))
+    sp = enumerate_sandpile_monoid(g)
+    U = units(sp)
+    q = quotient_by_submonoid(sp, U)
+
+    def least_of_class(x):
+        # a class keeps the label of its least element
+        return min(y for y in range(len(sp))
+                   if any(sp.add[x][u] == sp.add[y][w] for u in U for w in U))
+
+    assert q.generators == {
+        name: q.labels.index(sp.labels[least_of_class(x)])
+        for name, x in sp.generators.items()
+    }
+    assert q.generators["s"] == q.generators["b"] == q.zero != q.generators["a"]
+
+
 def test_quotient_by_units_matches_quotient_graph_presentation():
     for g in [
         validate_sandpile(WeightedDigraph(["a", "s"], [("a", "s", 1)] * 4)),

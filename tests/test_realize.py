@@ -5,11 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from sandmon import errors, realize
+from sandmon import errors, monoid, realize
+from sandmon.cli import main
 from sandmon.graph import (
     WeightedDigraph,
     loop_sink_graph,
     multi_cycle_sandpile,
+    non_cycle_vertices,
+    quotient_graph,
     reduce_graph,
     validate_sandpile,
 )
@@ -18,6 +21,9 @@ from sandmon.monoid import (
     AbelianGroupInvariants,
     classify_cyclic_sum,
     enumerate_sandpile_monoid,
+    enumerate_weighted_monoid,
+    monoid_isomorphic,
+    quotient_by_submonoid,
     units,
 )
 from sandmon.realize import (
@@ -34,6 +40,7 @@ from sandmon.realize import (
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
 
 def zp_graph(p):
@@ -89,6 +96,101 @@ def test_realization_sink_only():
     report = realization(validate_sandpile(WeightedDigraph(["s"], [])))
     assert report.ok
     assert report.sp_size == 1 and report.v_monoid_size == 1
+
+
+def realization_sides(g):
+    """The two tables that ``realization`` compares: the sandpile monoid
+    (modulo its units when g is not conical) and the presentation monoid of
+    the quotient by the no-cycle set."""
+    sp = enumerate_sandpile_monoid(g)
+    if conicality_report(g)[0]:
+        left = sp
+    else:
+        left = quotient_by_submonoid(sp, units(sp))
+    q = quotient_graph(g, non_cycle_vertices(g))
+    return left, enumerate_weighted_monoid(q, sink_relations=False)
+
+
+def test_realization_map_is_the_generator_map_and_an_isomorphism():
+    graphs = random_sandpile_corpus() + list(named_examples().values())
+    for g in graphs:
+        report = realization(g)
+        assert report.ok, g.names
+        left, vm = realization_sides(g)
+        iso = report.isomorphism
+        # phi sends each vertex generator to its own, and S to zero
+        for name, x in left.generators.items():
+            assert iso[left.labels[x]] == vm.labels[vm.generators.get(name, vm.zero)]
+        # a bijection between the two element sets
+        assert sorted(iso) == sorted(left.labels)
+        assert sorted(iso.values()) == sorted(vm.labels)
+        # that respects addition
+        image = [vm.labels.index(iso[label]) for label in left.labels]
+        for x in range(len(left)):
+            for y in range(len(left)):
+                assert image[left.add[x][y]] == vm.add[image[x]][image[y]]
+        assert monoid_isomorphic(left, vm) is not None
+
+
+def test_realization_calls_no_isomorphism_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched for an isomorphism")
+
+    monkeypatch.setattr(monoid, "monoid_isomorphic", refuse)
+    monkeypatch.setattr(realize, "monoid_isomorphic", refuse, raising=False)
+    for name, g in named_examples().items():
+        assert realization(g, name=name).ok, name
+
+
+def test_a_corrupt_presentation_table_fails_the_realization(monkeypatch, capsys):
+    def corrupt(q, **kwargs):
+        vm = enumerate_weighted_monoid(q, **kwargs)
+        # swap the rows, columns and entries of a generator x and of x + x:
+        # still a monoid table, but vm.generators now names x + x for x
+        x = vm.generators[q.names[0]]
+        y = vm.add[x][x]
+        assert x != y != vm.zero
+        swap = list(range(len(vm)))
+        swap[x], swap[y] = y, x
+        vm.add = [[swap[vm.add[a][b]] for b in swap] for a in swap]
+        return vm
+
+    monkeypatch.setattr(realize, "enumerate_weighted_monoid", corrupt)
+    # (on cycle_2_2_1 that swap is an automorphism, and phi still passes)
+    for name in ("g_2_3", "t"):
+        report = realization(named_examples()[name])
+        assert report.verdicts["realization_isomorphism"] is False, name
+        assert report.isomorphism is None and not report.ok
+    assert main(["realize", str(GRAPHS / "g_2_3.sg")]) == 1
+    out = capsys.readouterr().out
+    assert "verdict realization_isomorphism: FAILED" in out
+    assert out.endswith("overall: FAILED\n")
+
+
+def test_an_embedding_that_misses_elements_fails_the_realization(monkeypatch):
+    def larger(q, **kwargs):
+        vm = enumerate_weighted_monoid(q, **kwargs)
+        # vm + Z/2 with each generator g at (g, 0): phi is an injective
+        # homomorphism that covers the sandpile side, but it is not onto
+        bigger = monoid.direct_sum(vm, monoid.cyclic_group_monoid(2))
+        bigger.generators = {name: 2 * x for name, x in vm.generators.items()}
+        return bigger
+
+    monkeypatch.setattr(realize, "enumerate_weighted_monoid", larger)
+    report = realization(named_examples()["g_2_3"])
+    assert report.verdicts["realization_isomorphism"] is False
+    assert report.isomorphism is None and not report.ok
+
+
+def test_the_reduced_laplacian_route_can_fail(monkeypatch, capsys):
+    monkeypatch.setattr(realize, "reduced_laplacian", lambda g: [[7]])
+    for name, g in named_examples().items():
+        report = realization(g, name=name)
+        assert report.verdicts["completion_matches_smallest_ideal"] is False, name
+        assert report.verdicts["realization_isomorphism"] is True
+    assert main(["realize", str(GRAPHS / "t.sg")]) == 1
+    out = capsys.readouterr().out
+    assert "verdict completion_matches_smallest_ideal: FAILED" in out
 
 
 def test_refinement_structure_cycle_companion():
@@ -318,6 +420,6 @@ def test_corpus_single_feeder_for_decomposable_vertices():
 def test_named_examples_cover_known_shapes():
     examples = named_examples()
     assert set(examples) == {
-        "g_2_3", "g_1_3", "t", "cycle_2_2_1", "prime_z5", "prime_m_2_5"
+        "g_2_3", "g_1_3", "t", "cycle_2_2_1", "prime_z5"
     }
     assert realization(examples["g_2_3"]).k0 == AbelianGroupInvariants((3,), 0)

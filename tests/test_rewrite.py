@@ -188,10 +188,61 @@ def test_topple_once_examples():
     assert topple_once(chain, (1, 0, 0), "a") == (0, 1, 0)
     # no-loop vertex drops to zero when it holds exactly its weight
     assert topple_once(chain, (0, 1, 0), "b") == (0, 0, 1)
-    with pytest.raises(errors.VertexStable):
+    with pytest.raises(errors.VertexStable) as info:
         topple_once(G23, (4, 0), "x")
-    with pytest.raises(errors.SinkCannotTopple):
+    assert str(info.value) == "'x' holds 4 grains, needs 5 to fire"
+    with pytest.raises(errors.SinkCannotTopple) as info:
         topple_once(G23, (0, 3), "s")
+    assert str(info.value) == "'s' is a sink"
+
+
+@pytest.mark.parametrize("c, steps, include_sink_relations, message", [
+    ((4, 0), [0], True, "cannot replay firing of 'x'"),
+    ((0, 0), [1], True, "cannot replay sink firing of 's'"),
+    ((0, 1), [1], False, "cannot replay sink firing of 's'"),
+])
+def test_apply_steps_refuses_a_step_that_cannot_fire(c, steps, include_sink_relations,
+                                                    message):
+    with pytest.raises(errors.VertexStable) as info:
+        apply_steps(G23, c, steps, include_sink_relations)
+    assert str(info.value) == message
+
+
+def reference_successors(g, c, sink_rule):
+    """One-step firings from c, written out from the definition."""
+    moves = []
+    for v in range(g.n_vertices):
+        nxt = list(c)
+        if g.out_edge_ids[v]:
+            if c[v] < g.weight(v):
+                continue
+            nxt[v] -= g.weight(v)
+            for s, r, _ in g.edges:
+                if s == v:
+                    nxt[r] += 1
+        elif sink_rule and c[v] >= 1:
+            nxt[v] -= 1
+        else:
+            continue
+        moves.append((v, tuple(nxt)))
+    return moves
+
+
+def test_one_step_firings_match_the_definition():
+    rng = random.Random(29)
+    graphs = random_sandpile_corpus(count=30, seed=13) + [
+        T, diverging_graph(), rose_graph(2, 3),
+    ]
+    for g in graphs:
+        for _ in range(20):
+            c = tuple(rng.randrange(0, 6) for _ in range(g.n_vertices))
+            for sink_rule in (False, True):
+                moves = rewrite._successor_moves(g, sink_rule, c)
+                assert moves == reference_successors(g, c, sink_rule)
+                for v, nxt in moves:
+                    assert apply_steps(g, c, [v], sink_rule) == nxt
+                    if g.out_edge_ids[v]:
+                        assert topple_once(g, c, v) == nxt
 
 
 def test_topple_conserves_grains_on_balanced_graphs():
