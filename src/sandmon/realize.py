@@ -31,8 +31,10 @@ from .monoid import (
     cyclic_group_monoid,
     enumerate_sandpile_monoid,
     enumerate_weighted_monoid,
+    group_completion,
     is_refinement,
     monogenic_monoid,
+    monoid_isomorphic,
     quotient_by_submonoid,
     smallest_ideal,
     units,
@@ -94,16 +96,13 @@ class RealizationReport:
 def realization(g: SandpileGraph, name=None) -> RealizationReport:
     """Certify the realization of the sandpile monoid by the quotient graph.
 
-    Enumerates both sides and checks the paper's generator map phi, which
-    sends each vertex v off the no-cycle set S to v and each v in S to 0:
-    from the sandpile monoid when G is conical, else from the sandpile
-    monoid modulo its units, to the presentation monoid of the quotient by
-    S.  ``_induced_map`` extends phi over sums of generators and refuses a
-    map that gives an element two images or two elements one image, so
-    phi is an isomorphism exactly when it covers its domain and both sides
-    have the same size.  The group invariants are compared along
-    independent routes: the smallest ideal of each table, the cokernel of
-    the reduced Laplacian and the cokernel of the quotient's k0 matrix.
+    Enumerates both sides and produces an explicit isomorphism between the
+    sandpile monoid and the presentation monoid of the quotient by the
+    no-cycle set S when G is conical, or between the sandpile monoid modulo
+    its units and that monoid otherwise.  The group invariants are compared
+    along independent routes: the smallest ideal of each table, the
+    cokernel of the reduced Laplacian and the cokernel of the quotient's k0
+    matrix.
     """
     S = non_cycle_vertices(g)
     q = quotient_graph(g, S)
@@ -111,7 +110,7 @@ def realization(g: SandpileGraph, name=None) -> RealizationReport:
     vm = enumerate_weighted_monoid(q, sink_relations=False)
     conical, witnesses = conicality_report(g)
     ideal_invariants = abelian_invariants(smallest_ideal(sp).group)
-    vm_completion = abelian_invariants(smallest_ideal(vm).group)
+    vm_completion = group_completion(vm)
     laplacian_invariants = cokernel(reduced_laplacian(g))
     k0_invariants = cokernel(k0_matrix(q))
 
@@ -121,18 +120,15 @@ def realization(g: SandpileGraph, name=None) -> RealizationReport:
     else:
         compared = "sandpile_monoid_mod_units"
         left = quotient_by_submonoid(sp, units(sp))
-    # the vertices of S are missing from the quotient: phi sends them to 0
-    pairs = [(x, vm.generators.get(v, vm.zero)) for v, x in left.generators.items()]
-    phi = _induced_map(left, vm, pairs)
-    isomorphic = phi is not None and len(phi) == len(left) == len(vm)
+    mapping = monoid_isomorphic(left, vm)
     iso_json = (
-        {left.labels[x]: vm.labels[phi[x]] for x in range(len(left))}
-        if isomorphic
+        {left.labels[i]: vm.labels[m] for i, m in enumerate(mapping)}
+        if mapping is not None
         else None
     )
 
     verdicts = {
-        "realization_isomorphism": isomorphic,
+        "realization_isomorphism": mapping is not None,
         "k0_matches_v_monoid_completion": k0_invariants == vm_completion,
         "completion_matches_smallest_ideal": laplacian_invariants == ideal_invariants,
     }
