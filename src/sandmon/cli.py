@@ -228,7 +228,7 @@ def cmd_wmonoid(args) -> int:
 
 def cmd_group(args) -> int:
     g = _load_sandpile(args.graph)
-    group = sandpile_group(g, cap=_cap(args, monoid.DEFAULT_SANDPILE_CAP))
+    group = sandpile_group(g)
     invariants = group.invariants
     payload = {
         "report": "group",
@@ -439,8 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="whether sinks contribute the relation sink = 0")
     p.add_argument("--cap", type=int, default=None)
 
-    p = add("group", "sandpile group via the smallest ideal")
-    p.add_argument("--cap", type=int, default=None)
+    add("group", "sandpile group via the smallest ideal")
 
     p = add("k0", "cokernel invariants of the weight matrix")
     p.add_argument("--sandpile-group", action="store_true",

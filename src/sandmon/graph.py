@@ -501,13 +501,19 @@ def parse_graph(text: str):
     ``sink <name>`` hint; ``#`` starts a comment.  Returns the graph and the
     sink hint (or None).  Each name is resolved to its index once, as the
     line is read.
+
+    Lines end at ``\n``, ``\r\n`` or ``\r``, the universal newlines that
+    reading a file in text mode applies, so error line numbers count the
+    lines of the file; other line separators such as ``\x0c`` or U+2028
+    are whitespace inside a line.
     """
     names = []
     index = {}
     edges = []
     weight_of = {}
     sink_hint = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         if "#" in line:
             line = line.split("#", 1)[0]
         parts = line.split()

@@ -1,131 +1,86 @@
-"""The sandpile group without a Cayley table.
+"""The sandpile group by Dhar's construction of its identity.
 
 The smallest ideal I of the sandpile monoid M is the group of recurrent
-configurations (Dhar 1990; Speer 1993 for directed graphs with a global
-sink).  With s the sum of all elements of M, s + M lies inside every
-translate a + M, so I = s + M: the closure of s under adding one grain at a
-time.  Its identity is |I| * s, and its invariants are those of the
-cokernel of the reduced Laplacian.  That is about |I| * n stabilisations
-and no table of |M|^2 or |I|^2 entries.
+configurations, and it is isomorphic to the cokernel of the reduced
+Laplacian L (Dhar 1990; Speer 1993 for directed graphs with a global sink).
+Its identity is the one recurrent configuration in the toppling lattice,
+and it has a closed form: with c_max the largest stable configuration,
+z = 2 * c_max - stab(2 * c_max) and e = stab(z).  That is three
+stabilisations and one Smith normal form, whatever the size of M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from . import errors
 from .graph import SandpileGraph
 from .ktheory import cokernel, reduced_laplacian
-from .monoid import (
-    DEFAULT_SANDPILE_CAP,
-    AbelianGroupInvariants,
-    _sandpile_monoid_size,
-)
-from .rewrite import _stable_form, format_element
+from .monoid import AbelianGroupInvariants
+from .rewrite import format_element, stabilize
 
 
 @dataclass(frozen=True)
 class SandpileGroup:
-    """The smallest ideal of a sandpile monoid: its elements (configurations
-    with the sink empty, in discovery order from s), its identity and its
-    invariant factors."""
+    """The smallest ideal of a sandpile monoid: its identity (a
+    configuration with the sink empty) and its invariant factors."""
 
     monoid_size: int
-    elements: list
     identity: tuple
     identity_label: str
     invariants: AbelianGroupInvariants
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return self.invariants.order
 
 
-def _multiple(add, x, k: int):
-    """k * x for k >= 1 by double-and-add over the bits of k, highest
-    first: at most 2 * floor(log2 k) calls of ``add``."""
-    result = x
-    for bit in bin(k)[3:]:
-        result = add(result, result)
-        if bit == "1":
-            result = add(result, x)
-    return result
-
-
-def sandpile_group(g: SandpileGraph, cap: int = DEFAULT_SANDPILE_CAP) -> SandpileGroup:
+def sandpile_group(g: SandpileGraph) -> SandpileGroup:
     """The group of recurrent configurations of ``g``, certified.
 
-    s is the stable form of the sum of all stable configurations, which
-    holds |M| * (d_v - 1) / 2 grains at each non-sink vertex v of
-    out-degree d_v.  I = s + M is found as the closure of s under
-    x -> stab(x + e_v); adding a grain below the top digit d_v - 1 leaves x
-    stable, so only the top digit is stabilised.  The identity is
-    e = |I| * s, by Lagrange's theorem in the group I.
+    c_max holds d_v - 1 grains at each non-sink vertex v of out-degree d_v.
+    Stabilising 2 * c_max fires each vertex o1[v] times; z = 2 * c_max -
+    stab(2 * c_max) is then L * o1, L the reduced Laplacian, and e =
+    stab(z), firing o2, is the identity.  CertificateFailed is raised, also under ``python -O``, unless
 
-    CertificateFailed is raised, also under ``python -O``, unless e + e = e,
-    e lies in I, adding grains to e reaches all of I (so e + M = s + M and
-    e is the identity of the smallest ideal, which is a group), and the
-    cokernel of the reduced Laplacian is finite of order |I|.  The last
-    check counts an enumeration against an independent Smith normal form,
-    and the invariants reported are that cokernel's.
+    (a) z >= c_max, so e lies in c_max + M, inside I: e is recurrent;
+    (b) e = L * (o1 - o2), so e lies in the toppling lattice;
+    (c) e + e stabilises to e;
+    (d) the cokernel of L has free rank 0.
 
-    SizeOverBudget when |M| exceeds ``cap``; BadParameters when the cap is
-    below 1.
+    A recurrent configuration in the toppling lattice is the identity of I,
+    and |I| is the cokernel's order, whose invariants are reported.
     """
-    monoid_size = _sandpile_monoid_size(g, cap)
-    gens = [(v, g.out_degree(v) - 1) for v in g.non_sink_vertices()]
-    total = [0] * g.n_vertices
-    for v, top in gens:
-        total[v] = monoid_size * top // 2
-    s = _stable_form(g, total)
-
-    index = {s: 0}
-    elements = [s]
-    act = [[] for _ in gens]
-    # the loop also visits the elements it appends
-    for x in elements:
-        for step, (v, top) in zip(act, gens):
-            if x[v] < top:
-                y = x[:v] + (x[v] + 1,) + x[v + 1:]
-            else:
-                config = list(x)
-                config[v] += 1
-                y = _stable_form(g, config)
-            k = index.get(y)
-            if k is None:
-                k = index[y] = len(elements)
-                elements.append(y)
-            step.append(k)
-    order = len(elements)
-
-    def add(a, b):
-        return _stable_form(g, [p + q for p, q in zip(a, b)])
-
-    e = _multiple(add, s, order)
+    non_sink = g.non_sink_vertices()
+    c_max = [0] * g.n_vertices
+    for v in non_sink:
+        c_max[v] = g.out_degree(v) - 1
+    first = stabilize(g, [2 * k for k in c_max])
+    z = [2 * k - r for k, r in zip(c_max, first.result)]
+    if any(z[v] < c_max[v] for v in non_sink):
+        raise errors.CertificateFailed(
+            f"2 * c_max - stab(2 * c_max) = {format_element(g.names, z)}"
+            " is not above c_max"
+        )
+    second = stabilize(g, z)
+    e = second.result
     label = format_element(g.names, e)
-    if add(e, e) != e:
-        raise errors.CertificateFailed(f"|I| * s = {label} is not idempotent")
-    start = index.get(e)
-    if start is None:
-        raise errors.CertificateFailed(f"|I| * s = {label} does not lie in s + M")
-    reached = {start}
-    frontier = [start]
-    while frontier:
-        x = frontier.pop()
-        for step in act:
-            y = step[x]
-            if y not in reached:
-                reached.add(y)
-                frontier.append(y)
-    if len(reached) != order:
+    L = reduced_laplacian(g)
+    fired = [first.odometer[v] - second.odometer[v] for v in non_sink]
+    if any(e[v] != sum(a * k for a, k in zip(row, fired))
+           for v, row in zip(non_sink, L)):
         raise errors.CertificateFailed(
-            f"{label} + M has {len(reached)} elements, s + M has {order}"
+            f"{label} is not L times the difference of the odometers"
         )
-    invariants = cokernel(reduced_laplacian(g))
-    if invariants.order != order:
+    if stabilize(g, [2 * k for k in e]).result != e:
+        raise errors.CertificateFailed(f"{label} is not idempotent")
+    invariants = cokernel(L)
+    if invariants.free_rank:
         raise errors.CertificateFailed(
-            f"the reduced Laplacian's cokernel is {invariants.describe()},"
-            f" but s + M has {order} elements"
+            f"the reduced Laplacian's cokernel is {invariants.describe()}, not finite"
         )
-    return SandpileGroup(monoid_size=monoid_size, elements=elements, identity=e,
-                         identity_label=label, invariants=invariants)
+    return SandpileGroup(
+        monoid_size=prod(g.out_degree(v) for v in non_sink),
+        identity=e, identity_label=label, invariants=invariants,
+    )

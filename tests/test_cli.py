@@ -178,10 +178,14 @@ def test_group_report(capsys):
     assert payload["size"] == 8
     assert payload["invariant_factors"] == [8]
     assert payload["monoid_size"] == 27
+    # group enumerates nothing, so it takes no cap
+    with pytest.raises(SystemExit) as info:
+        main(["group", graph_path("t.sg"), "--cap", "20"])
+    assert info.value.code == 2
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
-@pytest.mark.parametrize("command", ["monoid", "wmonoid", "group"])
+@pytest.mark.parametrize("command", ["monoid", "wmonoid"])
 def test_cap_below_one_is_bad_parameters(capsys, command, cap):
     # 0 used to fall back to the default cap, and -1 reached the cap check
     rc, out, err = run(capsys, command, graph_path("t.sg"), "--cap", cap)

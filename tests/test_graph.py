@@ -352,6 +352,8 @@ def test_parse_errors(text):
     ("vertex a\r\nvertex a\r\n", "line 2: duplicate vertex 'a'"),
     ("vertex a\r\n\r\nedge a a\tw=\t2\r\n",
      "line 3: edge takes source, target and optional w=<int>"),
+    # only \n, \r\n and \r end a line; other separators are whitespace
+    ("vertex a\n\x0cvertex s\x0bedge a s\u2028sink s", "line 2: vertex takes one name"),
     # a sink line before its vertex
     ("vertex a\nsink b\nvertex b\n", "line 2: undeclared vertex 'b'"),
     ("vertex a\nsink b c\n", "line 2: sink takes one name"),
@@ -369,7 +371,7 @@ def test_parse_error_messages_name_the_line_and_vertex(text, message):
      ("a", "b"), ((0, 1, 1), (0, 1, 2), (0, 1, 1)), None),
     ("vertex\ta\r\nvertex b\r\nedge\ta\tb\tw=3\r\nsink\tb\r\n",
      ("a", "b"), ((0, 1, 3),), "b"),
-    ("vertex a\n\x0cvertex s\x0bedge a s\u2028sink s",
+    ("vertex\x0ca\rvertex s\u2028\nedge a\x0bs\r\nsink s",
      ("a", "s"), ((0, 1, 1),), "s"),
 ])
 def test_parse_separators_and_mid_line_comments(text, names, edges, hint):

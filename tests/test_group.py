@@ -1,11 +1,15 @@
-"""The sandpile group from the closure of s + M, against the Cayley-table
-route and with each of its certificates made to fail."""
+"""The sandpile group from Dhar's identity and the cokernel of the reduced
+Laplacian, against the closure of s + M and the Cayley-table route, past
+the size at which those can run, and with each of its certificates made
+to fail."""
 
+import dataclasses
 import itertools
+import json
 import os
 import subprocess
 import sys
-from math import ceil, log2
+from math import prod
 from pathlib import Path
 from unittest import mock
 
@@ -15,6 +19,7 @@ from hypothesis import given, settings
 from sandmon import cli, errors, group, monoid
 from sandmon.graph import (
     WeightedDigraph,
+    conical_violations,
     graph_to_text,
     multi_cycle_sandpile,
     validate_sandpile,
@@ -28,26 +33,82 @@ from sandmon.monoid import (
     smallest_ideal,
 )
 from sandmon.realize import make_t_graph, named_examples, random_sandpile_corpus
-from sandmon.rewrite import config_from_counts
+from sandmon.rewrite import _stable_form, stabilize
 from test_ktheory import reduced_laplacian as row_laplacian
 from test_monoid import complete_graph, grid_graph, small_sandpile_graphs, two_cycle_unions
 
 TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src"
-REAL_STABLE_FORM = group._stable_form
+ROOT = TESTS.parent
+SRC = ROOT / "src"
+GOLDEN = TESTS / "golden" / "cli"
+REAL_STABILIZE = group.stabilize
+
+
+def reference_sandpile_group(g):
+    """(elements, identity) of I = s + M by enumeration: the elements in
+    discovery order from s, and the identity |I| * s.
+
+    s is the stable form of the sum of all stable configurations, which
+    holds |M| * (d_v - 1) / 2 grains at each non-sink vertex v, and s + M
+    lies inside every translate a + M, so I = s + M is the closure of s
+    under x -> stab(x + e_v).  The identity is |I| * s by Lagrange's
+    theorem, found by double-and-add; e + M must then reach all of I.
+    """
+    gens = [(v, g.out_degree(v) - 1) for v in g.non_sink_vertices()]
+    monoid_size = prod(top + 1 for _, top in gens)
+    total = [0] * g.n_vertices
+    for v, top in gens:
+        total[v] = monoid_size * top // 2
+    s = _stable_form(g, total)
+    index = {s: 0}
+    elements = [s]
+    act = [[] for _ in gens]
+    # the loop also visits the elements it appends
+    for x in elements:
+        for step, (v, top) in zip(act, gens):
+            config = list(x)
+            config[v] += 1
+            y = tuple(config) if x[v] < top else _stable_form(g, config)
+            k = index.get(y)
+            if k is None:
+                k = index[y] = len(elements)
+                elements.append(y)
+            step.append(k)
+
+    def add(a, b):
+        return _stable_form(g, [p + q for p, q in zip(a, b)])
+
+    e = s
+    for bit in bin(len(elements))[3:]:
+        e = add(e, e)
+        if bit == "1":
+            e = add(e, s)
+    assert add(e, e) == e
+    reached = {index[e]}
+    frontier = [index[e]]
+    while frontier:
+        x = frontier.pop()
+        for step in act:
+            if step[x] not in reached:
+                reached.add(step[x])
+                frontier.append(step[x])
+    assert len(reached) == len(elements)
+    return elements, e
 
 
 def assert_group_matches_reference(g):
-    """Equal size, ideal, identity and invariants to the Cayley-table route."""
+    """Equal size, identity and invariants to the closure of s + M and to
+    the Cayley-table route, and |s + M| equal to the cokernel's order."""
     M = enumerate_sandpile_monoid(g)
     ideal = smallest_ideal(M)
+    elements, identity = reference_sandpile_group(g)
     G = sandpile_group(g)
     assert G.monoid_size == len(M)
-    assert G.size == len(ideal.elements)
+    assert G.size == len(elements) == len(ideal.elements)
+    assert sorted(elements) == sorted(M.reps[x] for x in ideal.elements)
+    assert G.identity == identity == M.reps[ideal.identity]
     assert G.identity_label == M.labels[ideal.identity]
-    assert G.identity == M.reps[ideal.identity]
     assert G.invariants == abelian_invariants(ideal.group)
-    assert sorted(G.elements) == sorted(M.reps[x] for x in ideal.elements)
 
 
 def cycle_unions():
@@ -77,8 +138,8 @@ def test_group_matches_reference_on_the_corpus_and_named_examples():
 
 def test_group_matches_reference_on_cycle_unions_grids_and_k5():
     graphs = cycle_unions() + [grid_graph(2, 2), grid_graph(1, 5), complete_graph(5)]
-    assert max(len(enumerate_sandpile_monoid(g)) for g in graphs) == 1024
-    assert max(len(enumerate_sandpile_monoid(g)) for g in graphs[:-3]) == 512
+    assert max(sandpile_group(g).monoid_size for g in graphs) == 1024
+    assert max(sandpile_group(g).monoid_size for g in graphs[:-3]) == 512
     for g in graphs:
         assert_group_matches_reference(g)
 
@@ -110,6 +171,47 @@ def test_reduced_laplacian_counts_edges_to_non_sink_vertices():
         assert reduced_laplacian(g) == [list(col) for col in zip(*row_laplacian(g))]
 
 
+# ------------------------------------------------------ past the old cap
+
+
+@pytest.mark.parametrize("g", [grid_graph(4, 4), grid_graph(8, 8), complete_graph(12)],
+                         ids=["grid_4x4", "grid_8x8", "complete_12"])
+def test_identity_passes_the_burning_test(g):
+    # Dhar's burning test on these undirected graphs: a stable c is
+    # recurrent iff adding beta, one grain per edge to the sink, topples
+    # every non-sink vertex exactly once and returns c
+    G = sandpile_group(g)
+    assert G.monoid_size > 4096
+    beta = [0] * g.n_vertices
+    for v in g.non_sink_vertices():
+        beta[v] = g.out_targets[v].count(g.sink)
+    burnt = stabilize(g, [a + b for a, b in zip(G.identity, beta)])
+    assert burnt.result == G.identity
+    assert all(burnt.odometer[v] == 1 for v in g.non_sink_vertices())
+
+
+def test_group_agrees_with_the_k0_pin_on_conical_graphs(capsys):
+    compared = []
+    for path in sorted([*(ROOT / "graphs").glob("*.sg"),
+                        *(TESTS / "golden" / "inputs").glob("*.sg")]):
+        try:
+            g = cli._load_sandpile(str(path))
+        except errors.SandmonError:
+            continue
+        if conical_violations(g):
+            continue
+        pin = (GOLDEN / f"{path.stem}.k0-sandpile-group.txt").read_text(encoding="utf-8")
+        head, _, rest = pin.partition("--- stdout\n")
+        assert head.endswith("exit 0\n"), path.stem
+        pinned = json.loads(rest.partition("--- stderr\n")[0])
+        assert cli.main(["group", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["invariant_factors"] == pinned["invariant_factors"], path.stem
+        assert report["free_rank"] == pinned["free_rank"] == 0
+        compared.append(path.stem)
+    assert sorted(compared) == ["complete_12", "cycle_2_2_1", "g_2_3", "grid_4x4", "t"]
+
+
 # ------------------------------------------------------------ no table built
 
 
@@ -123,57 +225,31 @@ def test_group_command_builds_no_table(monkeypatch, capsys, tmp_path):
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return REAL_STABLE_FORM(*args, **kwargs)
+        return REAL_STABILIZE(*args, **kwargs)
 
-    monkeypatch.setattr(group, "_stable_form", counting)
-    g = grid_graph(1, 5)
-    path = tmp_path / "grid_1x5.sg"
-    path.write_text(graph_to_text(g), encoding="utf-8")
-    assert cli.main(["group", str(path), "--json"]) == 0
-    out = capsys.readouterr().out
-    assert '"monoid_size": 1024' in out
-    size = sandpile_group(g).size
-    n = len(g.non_sink_vertices())
-    assert len(calls) <= size * n + 2 * ceil(log2(size)) + 3
-
-
-def test_double_and_add_is_logarithmic():
-    sums = []
-
-    def add(a, b):
-        sums.append((a, b))
-        return a + b
-
-    for k in range(1, 300):
-        sums.clear()
-        assert group._multiple(add, 1, k) == k
-        assert len(sums) <= 2 * int(log2(k))
+    monkeypatch.setattr(group, "stabilize", counting)
+    for g, size in ((grid_graph(1, 5), 1024), (grid_graph(4, 4), 4 ** 16)):
+        calls.clear()
+        path = tmp_path / "grid.sg"
+        path.write_text(graph_to_text(g), encoding="utf-8")
+        assert cli.main(["group", str(path), "--json"]) == 0
+        assert f'"monoid_size": {size}' in capsys.readouterr().out
+        assert len(calls) == 3
 
 
 # ------------------------------------------------------------ certificates
 
 
-def stable_form_calls(g):
-    """(input, output) of every _stable_form call sandpile_group(g) makes."""
-    calls = []
-
-    def recording(graph, counts, sink_absorbing=True):
-        out = REAL_STABLE_FORM(graph, counts, sink_absorbing)
-        calls.append((tuple(counts), out))
-        return out
-
-    with mock.patch.object(group, "_stable_form", recording):
-        sandpile_group(g)
-    return calls
-
-
-def replacing_call(index, value):
-    """A _stable_form whose call number ``index`` returns ``value``."""
+def replacing_call(index, **changes):
+    """A stabilize whose call number ``index`` returns its trace with
+    ``changes`` made."""
     counter = itertools.count()
 
-    def fake(graph, counts, sink_absorbing=True):
-        out = REAL_STABLE_FORM(graph, counts, sink_absorbing)
-        return value if next(counter) == index else out
+    def fake(*args, **kwargs):
+        trace = REAL_STABILIZE(*args, **kwargs)
+        if next(counter) == index:
+            trace = dataclasses.replace(trace, **changes)
+        return trace
 
     return fake
 
@@ -182,31 +258,18 @@ def certificate_failures() -> dict:
     """Certificate -> the CertificateFailed message sandpile_group raises on
     the t graph when that certificate is made to fail."""
     g = make_t_graph()
-    M = enumerate_sandpile_monoid(g)
-    ideal = smallest_ideal(M)
-    e = M.reps[ideal.identity]
-    calls = stable_form_calls(g)
-    # the last call adds e to itself; the one before yields e
-    assert calls[-1] == (tuple(2 * k for k in e), e) and calls[-2][1] == e
+    elements, e = reference_sandpile_group(g)
     # in a group only the identity is idempotent
-    other = next(M.reps[x] for x in ideal.elements if x != ideal.identity)
-    zero = config_from_counts(g, {})
-    assert zero not in {M.reps[x] for x in ideal.elements}
-    # a transient x whose translate x + M has k elements with k * x = e:
-    # taken for s, it passes the first two checks and fails the third
-    for x in range(len(M)):
-        k = len(set(M.add[x]))
-        kx = x
-        for _ in range(k - 1):
-            kx = M.add[kx][x]
-        if x not in ideal.elements and kx == ideal.identity:
-            transient = M.reps[x]
-            break
+    other = next(x for x in elements if x != e)
+    c_max = tuple(g.out_degree(v) - 1 if v != g.sink else 0
+                  for v in range(g.n_vertices))
     fakes = {
-        "idempotent": ("_stable_form", replacing_call(len(calls) - 2, other)),
-        "in_ideal": ("_stable_form", replacing_call(len(calls) - 2, zero)),
-        "closure": ("_stable_form", replacing_call(0, transient)),
-        "wrong_factor": ("cokernel", lambda A: AbelianGroupInvariants((16,))),
+        # 2 * c_max left as it is: z = 0
+        "above_c_max": ("stabilize", replacing_call(
+            0, result=tuple(2 * k for k in c_max), odometer=(0,) * g.n_vertices)),
+        # a recurrent configuration outside the toppling lattice
+        "lattice": ("stabilize", replacing_call(1, result=other)),
+        "idempotent": ("stabilize", replacing_call(2, result=other)),
         "free_rank": ("cokernel", lambda A: AbelianGroupInvariants((8,), 1)),
     }
     messages = {}
@@ -220,11 +283,10 @@ def certificate_failures() -> dict:
 
 
 EXPECTED_FAILURES = {
-    "idempotent": "is not idempotent",
-    "in_ideal": "does not lie in s + M",
-    "closure": "+ M has 8 elements, s + M has 12",
-    "wrong_factor": "cokernel is Z/16, but s + M has 8 elements",
-    "free_rank": "cokernel is Z/8 x Z, but s + M has 8 elements",
+    "above_c_max": "2 * c_max - stab(2 * c_max) = 0 is not above c_max",
+    "lattice": "is not L times the difference of the odometers",
+    "idempotent": "2u+2v+2z is not idempotent",
+    "free_rank": "cokernel is Z/8 x Z, not finite",
 }
 
 
@@ -259,7 +321,6 @@ def test_certificates_run_without_asserts():
 @pytest.mark.parametrize("cap", [0, -1])
 def test_caps_below_one_are_bad_parameters(cap):
     g = make_t_graph()
-    for build in (sandpile_group, enumerate_sandpile_monoid,
-                  monoid.enumerate_weighted_monoid):
+    for build in (enumerate_sandpile_monoid, monoid.enumerate_weighted_monoid):
         with pytest.raises(errors.BadParameters, match=f"cap must be >= 1, got {cap}"):
             build(g, cap=cap)
