@@ -17,11 +17,8 @@ from pathlib import Path
 from . import errors, ktheory, monoid, realize, rewrite
 from .graph import (
     SandpileGraph,
-    conical_violations,
     graph_to_dot,
-    non_cycle_vertices,
     parse_graph,
-    quotient_graph,
     reduce_graph,
     validate_sandpile,
 )
@@ -248,12 +245,7 @@ def cmd_group(args) -> int:
 
 def cmd_k0(args) -> int:
     if args.sandpile_group:
-        g = _load_sandpile(args.graph)
-        bad = [g.names[v] for v in conical_violations(g)]
-        if bad:
-            raise errors.NotConical(bad)
-        q = quotient_graph(g, non_cycle_vertices(g))
-        matrix = ktheory.k0_matrix(q)
+        matrix = ktheory.sandpile_k0_matrix(_load_sandpile(args.graph))
         mode = "sandpile-group"
     else:
         g, _ = _load_graph(args.graph)

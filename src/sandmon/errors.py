@@ -92,9 +92,8 @@ class Inconclusive(SandmonError):
     """Enumeration could not finish within its caps.  Explicitly not a claim
     that the monoid is infinite."""
 
-    def __init__(self, message, partial_labels=None, note=None):
+    def __init__(self, message, partial_labels=None):
         self.partial_labels = list(partial_labels) if partial_labels is not None else None
-        self.note = note
         super().__init__(message)
 
 

@@ -239,21 +239,28 @@ def validate_sandpile(g: WeightedDigraph, sink_hint=None) -> SandpileGraph:
             f"sink hint {sink_hint!r} does not match structural sink {g.names[sink]!r}"
         )
 
-    reaches = [False] * g.n_vertices
-    reaches[sink] = True
+    _sink_distances(g, sink)
+    return SandpileGraph._balanced(g, sink)
+
+
+def _sink_distances(g: WeightedDigraph, sink: int) -> list[int]:
+    """BFS distance from each vertex to ``sink`` along directed paths, by a
+    walk over in-edges from the sink.  Raises UnreachableSink naming the
+    vertices with no path, in index order."""
+    dist = [None] * g.n_vertices
+    dist[sink] = 0
     found = [sink]
     for v in found:
         for eid in g.in_edge_ids[v]:
             src = g.edges[eid][0]
-            if not reaches[src]:
-                reaches[src] = True
+            if dist[src] is None:
+                dist[src] = dist[v] + 1
                 found.append(src)
     if len(found) < g.n_vertices:
         raise errors.UnreachableSink(
-            [g.names[v] for v in range(g.n_vertices) if not reaches[v]]
+            [g.names[v] for v, d in enumerate(dist) if d is None]
         )
-
-    return SandpileGraph._balanced(g, sink)
+    return dist
 
 
 def _renumber(g: WeightedDigraph, kept) -> tuple:
@@ -375,22 +382,7 @@ def quotient_graph(g: WeightedDigraph, subset) -> WeightedDigraph:
 
 def shortest_sink_distances(g: SandpileGraph) -> list[int]:
     """BFS distance from each vertex to the sink along directed paths."""
-    dist = [None] * g.n_vertices
-    dist[g.sink] = 0
-    frontier = [g.sink]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for eid in g.in_edge_ids[v]:
-                src = g.edges[eid][0]
-                if dist[src] is None:
-                    dist[src] = dist[v] + 1
-                    nxt.append(src)
-        frontier = nxt
-    stranded = [g.names[v] for v, d in enumerate(dist) if d is None]
-    if stranded:
-        raise errors.UnreachableSink(stranded)
-    return dist
+    return _sink_distances(g, g.sink)
 
 
 def conical_violations(g: SandpileGraph) -> list[int]:

@@ -391,13 +391,18 @@ def k0_of_weighted_graph(g: WeightedDigraph) -> AbelianGroupInvariants:
     return cokernel(k0_matrix(g))
 
 
+def sandpile_k0_matrix(g: SandpileGraph) -> Matrix:
+    """The k0 matrix of the quotient of ``g`` by its no-cycle vertex set,
+    whose cokernel is the sandpile group.  Raises NotConical, naming the
+    witnessing vertices, unless ``g`` is conical."""
+    bad = conical_violations(g)
+    if bad:
+        raise errors.NotConical([g.names[v] for v in bad])
+    return k0_matrix(quotient_graph(g, non_cycle_vertices(g)))
+
+
 def sandpile_group_via_k0(g: SandpileGraph) -> AbelianGroupInvariants:
     """Invariant factors of the sandpile group computed through the quotient
     by the no-cycle vertex set and the cokernel of its weight matrix.
     Requires a conical sandpile graph."""
-    bad = conical_violations(g)
-    if bad:
-        raise errors.NotConical([g.names[v] for v in bad])
-    S = non_cycle_vertices(g)
-    q = quotient_graph(g, S)
-    return cokernel(k0_matrix(q))
+    return cokernel(sandpile_k0_matrix(g))

@@ -701,95 +701,96 @@ def _check_cap(cap: int) -> int:
     return cap
 
 
-def _sandpile_monoid_size(g: SandpileGraph, cap: int) -> int:
-    """The number of stable configurations, the product of the non-sink
-    out-degrees; SizeOverBudget when it exceeds ``cap``."""
-    _check_cap(cap)
-    size = prod(g.out_degree(v) for v in g.non_sink_vertices())
-    if size > cap:
-        raise errors.SizeOverBudget(
-            f"sandpile monoid has {size} elements, cap is {cap}"
-            " (raise it with --cap)"
-        )
-    return size
+def _closure_monoid(names, step, key, cap: int) -> FiniteCommMonoid:
+    """The monoid of the normal forms that ``step(x, v)``, the normal form
+    of x + e_v, reaches from zero, sorted by ``key`` (None sorts the tuples
+    themselves).  Past ``cap`` elements it raises Inconclusive with the
+    labels found so far.
+
+    The closure search records act[v][x] = step(x, v).  The normal forms are
+    canonical and form a down-set, so for x nonzero and v its last nonzero
+    coordinate, x - e_v is an element, which ``key`` must put before x.
+    Row 0 is the identity, and row x is act[v] applied to row x - e_v, as
+    nf(x + y) = nf(nf(x - e_v + y) + e_v).  That is |M|*n steps, not
+    |M|^2 / 2.
+    """
+    zero = (0,) * len(names)
+    # the loop also visits the elements it appends
+    found = [zero]
+    index = {zero: 0}
+    act = [[] for _ in names]
+    for rep in found:
+        for v, row in enumerate(act):
+            y = step(rep, v)
+            x = index.get(y)
+            if x is None:
+                if len(found) >= cap:
+                    raise errors.Inconclusive(
+                        f"more than {cap} elements discovered",
+                        partial_labels=sorted(format_element(names, u) for u in found),
+                    )
+                x = index[y] = len(found)
+                found.append(y)
+            row.append(x)
+    elements = sorted(found, key=key)
+    order = [index[rep] for rep in elements]
+    pos = {x: i for i, x in enumerate(order)}
+    # act in sorted indices, on both sides
+    act = [[pos[row[x]] for x in order] for row in act]
+    table = [list(range(len(elements)))]
+    for rep in elements[1:]:
+        v = len(rep) - 1
+        while not rep[v]:
+            v -= 1
+        below = index[rep[:v] + (rep[v] - 1,) + rep[v + 1:]]
+        row = act[v]
+        table.append([row[z] for z in table[pos[below]]])
+    return FiniteCommMonoid(
+        add=table, zero=0, labels=[format_element(names, rep) for rep in elements],
+        reps=elements, generators={name: row[0] for name, row in zip(names, act)},
+    )
 
 
 def enumerate_sandpile_monoid(g: SandpileGraph,
                               cap: int = DEFAULT_SANDPILE_CAP) -> FiniteCommMonoid:
     """All stable configurations under add-then-stabilise with the sink
-    absorbing.  The size is exactly the product of the non-sink out-degrees.
+    absorbing, in lexicographic order: mixed radix, the non-sink out-degrees
+    d_v as radices.  Their number, the product of the d_v, is checked
+    against ``cap`` before any step.
 
-    Element x is the configuration whose mixed-radix digits (one per non-sink
-    vertex, out-degree as radix) spell x.  The table comes from the action
-    act[i][x] = stab(x + e_v) of each non-sink vertex v = non_sink[i]: row 0
-    is the identity, and x = x' + e_v with x' one grain less at the last
-    nonzero digit of x, so by the abelian property (Dhar 1990) row x is
-    act[i] applied to row x'.  That is |M|*n stabilisations, not |M|^2 / 2.
+    By the abelian property (Dhar 1990) the stable form of x + e_v is the
+    normal form.  A grain that leaves v below d_v needs no firing, so only
+    |M| / d_v steps for each non-sink v stabilise.
     """
-    size = _sandpile_monoid_size(g, cap)
-    non_sink = g.non_sink_vertices()
-    radices = [g.out_degree(v) for v in non_sink]
-    nv = g.n_vertices
-    places = [0] * len(non_sink)
-    acc = 1
-    for i in range(len(non_sink) - 1, -1, -1):
-        places[i] = acc
-        acc *= radices[i]
+    size = prod(g.out_degree(v) for v in g.non_sink_vertices())
+    if size > _check_cap(cap):
+        raise errors.SizeOverBudget(
+            f"sandpile monoid has {size} elements, cap is {cap}"
+            " (raise it with --cap)"
+        )
+    tops = [g.out_degree(v) - 1 for v in range(g.n_vertices)]
+    sink = g.sink
 
-    def encode(config):
-        return sum(config[v] * places[i] for i, v in enumerate(non_sink))
+    def step(x, v):
+        if x[v] < tops[v]:
+            return x[:v] + (x[v] + 1,) + x[v + 1:]
+        if v == sink:
+            # a grain on the sink is absorbed
+            return x
+        config = list(x)
+        config[v] += 1
+        return _stable_form(g, config, sink_absorbing=True)
 
-    reps = []
-    for code in range(size):
-        config = [0] * nv
-        rem = code
-        for i, v in enumerate(non_sink):
-            config[v] = rem // places[i]
-            rem %= places[i]
-        reps.append(tuple(config))
-
-    # a grain that leaves digit i below its radix needs no firing
-    act = []
-    for i, v in enumerate(non_sink):
-        top = radices[i] - 1
-        row = []
-        for x, rep in enumerate(reps):
-            if rep[v] < top:
-                row.append(x + places[i])
-            else:
-                config = list(rep)
-                config[v] += 1
-                row.append(encode(_stable_form(g, config, sink_absorbing=True)))
-        act.append(row)
-
-    table = [list(range(size))]
-    last = len(non_sink) - 1
-    for x in range(1, size):
-        i = last
-        while not reps[x][non_sink[i]]:
-            i -= 1
-        step = act[i]
-        table.append([step[z] for z in table[x - places[i]]])
-    labels = [format_element(g.names, rep) for rep in reps]
-    # a grain on the sink is absorbed: that generator is zero
-    first = {v: row[0] for v, row in zip(non_sink, act)}
-    gens = {name: first.get(v, 0) for v, name in enumerate(g.names)}
-    return FiniteCommMonoid(add=table, zero=0, labels=labels, reps=reps,
-                            generators=gens)
+    return _closure_monoid(g.names, step, None, size)
 
 
 def enumerate_weighted_monoid(g: WeightedDigraph, sink_relations: bool = True,
                               cap: int = DEFAULT_WEIGHTED_CAP,
                               max_rules: int = 4000) -> FiniteCommMonoid:
     """Closure of the vertex generators under addition, with congruence
-    decided through the completed firing rules.
-
-    The closure search visits the elements in discovery order and records
-    the action act[v][x] = nf(x + e_v) of every generator, plus the parent
-    (x', v) through which each new element x = nf(x' + e_v) was found.  Row
-    0 is the identity, and row x is act[v] applied to row x': normal forms
-    are canonical for the congruence, so nf(x + y) = nf(nf(x' + y) + e_v).
-    That is |M|*n normal forms, not |M|^2 / 2.
+    decided through the completed firing rules, in graded order (number of
+    grains, then lexicographic).  The normal forms are the vectors above no
+    left-hand side of the rules, a down-set.
 
     ``sink_relations`` selects whether each sink is identified with zero.
     Raises Inconclusive (never "infinite") when the rule completion or the
@@ -804,46 +805,5 @@ def enumerate_weighted_monoid(g: WeightedDigraph, sink_relations: bool = True,
         raise errors.Inconclusive(
             f"rule completion exceeded its budget ({exc})", partial_labels=None
         ) from None
-    nv = g.n_vertices
-    zero = (0,) * nv
-    # elements in discovery order, with the parent each was first reached
-    # from; the loop below also visits the elements it appends
-    found = [zero]
-    index = {zero: 0}
-    parent = [0]
-    parent_gen = [0]
-    act = [[] for _ in range(nv)]
-    add_generator = rs.add_generator
-    for x, rep in enumerate(found):
-        for v in range(nv):
-            cand = add_generator(rep, v)
-            y = index.get(cand)
-            if y is None:
-                if len(found) >= cap:
-                    labels = sorted(format_element(g.names, u) for u in found)
-                    raise errors.Inconclusive(
-                        f"more than {cap} elements discovered",
-                        partial_labels=labels,
-                    )
-                y = index[cand] = len(found)
-                found.append(cand)
-                parent.append(x)
-                parent_gen.append(v)
-            act[v].append(y)
-    size = len(found)
-    order = sorted(range(size), key=lambda x: (sum(found[x]), found[x]))
-    pos = [0] * size
-    for i, x in enumerate(order):
-        pos[x] = i
-    # act in final indices, on both sides
-    act = [[pos[step[x]] for x in order] for step in act]
-    table = [None] * size
-    table[pos[0]] = list(range(size))
-    for x in range(1, size):
-        step = act[parent_gen[x]]
-        table[pos[x]] = [step[z] for z in table[pos[parent[x]]]]
-    elements = [found[x] for x in order]
-    labels = [format_element(g.names, v) for v in elements]
-    gen_map = {g.names[v]: act[v][pos[0]] for v in range(nv)}
-    return FiniteCommMonoid(add=table, zero=pos[0], labels=labels,
-                            reps=elements, generators=gen_map)
+    return _closure_monoid(g.names, rs.add_generator,
+                           lambda rep: (sum(rep), rep), cap)

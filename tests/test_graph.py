@@ -244,6 +244,14 @@ def test_shortest_sink_distances_name_the_stranded_vertices():
     with pytest.raises(errors.UnreachableSink) as info:
         shortest_sink_distances(g)
     assert info.value.vertices == ["a"]
+    # both walks from the sink name the stranded vertices in index order
+    names = ["c", "b", "a", "s"]
+    edges = [("c", "a", 1), ("a", "c", 1), ("b", "s", 1)]
+    for walk in (lambda: shortest_sink_distances(SandpileGraph(names, edges, "s")),
+                 lambda: validate_sandpile(WeightedDigraph(names, edges))):
+        with pytest.raises(errors.UnreachableSink) as info:
+            walk()
+        assert info.value.vertices == ["c", "a"]
 
 
 def test_constructor_shapes():

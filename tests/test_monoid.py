@@ -528,6 +528,24 @@ def test_default_sandpile_cap(monkeypatch):
         enumerate_sandpile_monoid(grid_graph(1, 7))
 
 
+def test_sandpile_enumeration_stabilises_only_a_grain_that_tops_a_digit(monkeypatch):
+    """A grain that leaves v below its out-degree d_v needs no firing, so
+    the enumeration stabilises once for each configuration with d_v - 1
+    grains on v: |M| / d_v times for each non-sink v.  The pairwise
+    reference sees the table, not what it cost."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _stable_form(*args, **kwargs)
+
+    monkeypatch.setattr(monoid, "_stable_form", counted)
+    for g in [grid_graph(2, 2), complete_graph(5)] + random_sandpile_corpus(count=20):
+        calls.clear()
+        size = len(enumerate_sandpile_monoid(g))
+        assert len(calls) == sum(size // g.out_degree(v) for v in g.non_sink_vertices())
+
+
 def test_smallest_ideal_is_cached():
     for M in [enumerate_sandpile_monoid(make_t_graph()), monogenic_monoid(2, 3)]:
         assert smallest_ideal(M) is smallest_ideal(M)
