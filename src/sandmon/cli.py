@@ -101,10 +101,13 @@ def cmd_stabilize(args) -> int:
         trace = rewrite.stabilize(used, c, sink_absorbing=True)
         mode = "sink-absorbing"
     else:
-        # only free mode falls back to the general weighted firing
+        # free mode fires with the file's weights; the budget-free sandpile
+        # path fires with the out-degrees, so it needs those weights or none
         try:
             used = validate_sandpile(g, sink_hint=hint)
         except errors.SandmonError:
+            used = g
+        if used.edges != g.edges and any(w != 1 for _, _, w in g.edges):
             used = g
         c = rewrite.parse_config(used, config_text)
         if isinstance(used, SandpileGraph):
@@ -380,10 +383,10 @@ def cmd_cycle_suite(args) -> int:
 def cmd_export_dot(args) -> int:
     g, hint = _load_graph(args.graph)
     try:
-        g = validate_sandpile(g, sink_hint=hint)
+        sink = validate_sandpile(g, sink_hint=hint).sink
     except errors.SandmonError:
-        pass
-    sys.stdout.write(graph_to_dot(g))
+        sink = None
+    sys.stdout.write(graph_to_dot(g, sink))
     return 0
 
 

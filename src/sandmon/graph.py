@@ -119,9 +119,6 @@ class WeightedDigraph:
     def out_degree(self, v) -> int:
         return len(self.out_edge_ids[self._resolve(v)])
 
-    def is_sink(self, v) -> bool:
-        return self.out_degree(v) == 0
-
     def sinks(self) -> list[int]:
         return [v for v in range(self.n_vertices) if not self.out_edge_ids[v]]
 
@@ -174,12 +171,14 @@ class WeightedDigraph:
 
 
 class SandpileGraph(WeightedDigraph):
-    """A validated sandpile graph: unique sink, reachable from every vertex,
-    with the balanced weighting (edge weight = out-degree of the source)
-    imposed on all non-sink vertices."""
+    """A sandpile graph: unique sink, reachable from every vertex, with the
+    balanced weighting (edge weight = out-degree of the source) imposed on
+    all non-sink vertices.  ``validate_sandpile`` checks the axioms; the
+    constructor only imposes the weighting."""
 
     def __init__(self, names, edges, sink):
         super().__init__(names, edges)
+        self.edges = _out_degree_weighted(self)
         self.sink = self._resolve(sink)
 
     @classmethod
@@ -190,11 +189,7 @@ class SandpileGraph(WeightedDigraph):
         sp = cls.__new__(cls)
         sp.names = g.names
         sp.index = g.index
-        degree = [len(eids) for eids in g.out_edge_ids]
-        if all(w == degree[s] for s, _, w in g.edges):
-            sp.edges = g.edges
-        else:
-            sp.edges = tuple([(s, r, degree[s]) for s, r, _ in g.edges])
+        sp.edges = _out_degree_weighted(g)
         sp.carried_weights = {}
         sp.out_edge_ids = g.out_edge_ids
         sp.in_edge_ids = g.in_edge_ids
@@ -220,6 +215,15 @@ class SandpileGraph(WeightedDigraph):
 
 
 # ------------------------------------------------------------------ validation
+
+def _out_degree_weighted(g: WeightedDigraph) -> tuple:
+    """g's edges, each weighted by its source's out-degree: ``g.edges``
+    itself when every weight already is."""
+    degree = [len(eids) for eids in g.out_edge_ids]
+    if all(w == degree[s] for s, _, w in g.edges):
+        return g.edges
+    return tuple([(s, r, degree[s]) for s, r, _ in g.edges])
+
 
 def validate_sandpile(g: WeightedDigraph, sink_hint=None) -> SandpileGraph:
     """Check the sandpile axioms and return the balanced-weighted graph.
@@ -520,10 +524,10 @@ def parse_graph(text: str):
                 if weight is None:
                     if not token.startswith("w="):
                         raise errors.GraphFormatError(f"line {lineno}: expected w=<int>")
-                    try:
-                        weight = int(token[2:])
-                    except ValueError:
-                        raise errors.GraphFormatError(f"line {lineno}: bad weight") from None
+                    digits = token[2:]  # int() also takes "3_0", "+3", "\u0663"
+                    if not (digits.isascii() and digits.isdigit()):
+                        raise errors.GraphFormatError(f"line {lineno}: bad weight")
+                    weight = int(digits)
                     if weight < 1:
                         raise errors.GraphFormatError(f"line {lineno}: weight must be >= 1")
                     weight_of[token] = weight
@@ -571,11 +575,13 @@ def graph_to_text(g: WeightedDigraph, sink=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_to_dot(g: WeightedDigraph, name: str = "G") -> str:
+def graph_to_dot(g: WeightedDigraph, sink: int | None = None) -> str:
     """DOT export: one arrow per parallel edge, weight labels when above one,
-    the sink drawn with a doubled border."""
-    sink = g.sink if isinstance(g, SandpileGraph) else None
-    lines = [f"digraph {name} {{"]
+    the sink (an index, by default a sandpile graph's own) drawn with a
+    doubled border."""
+    if sink is None and isinstance(g, SandpileGraph):
+        sink = g.sink
+    lines = ["digraph G {"]
     for v, vname in enumerate(g.names):
         attrs = ' [peripheries=2]' if v == sink else ""
         lines.append(f'  "{vname}"{attrs};')

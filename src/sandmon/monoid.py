@@ -417,16 +417,15 @@ def group_completion(M: FiniteCommMonoid) -> AbelianGroupInvariants:
 
 def quotient_by_submonoid(M: FiniteCommMonoid, I) -> FiniteCommMonoid:
     """Quotient by the congruence a ~ b iff a + i = b + j for some i, j in
-    the submonoid I.  All of I collapses onto the zero class, and each
-    generator of M names its class."""
+    the submonoid I, given by element indices.  All of I collapses onto the
+    zero class, and each generator of M names its class."""
     n = len(M)
-    I = sorted({i if isinstance(i, int) else M.labels.index(i) for i in I})
+    I = set(I)
     if M.zero not in I:
         raise errors.NotSubmonoid("submonoid must contain zero")
-    iset = set(I)
     for a in I:
         for b in I:
-            if M.add[a][b] not in iset:
+            if M.add[a][b] not in I:
                 raise errors.NotSubmonoid("subset is not closed under addition")
 
     parent = list(range(n))
@@ -540,8 +539,7 @@ def _induced_map(M1: FiniteCommMonoid, M2: FiniteCommMonoid, pairs):
     return phi
 
 
-def monoid_isomorphic(M1: FiniteCommMonoid, M2: FiniteCommMonoid,
-                      cap: int = 10 ** 4):
+def monoid_isomorphic(M1: FiniteCommMonoid, M2: FiniteCommMonoid):
     """Search for an isomorphism; returns the element mapping (list indexed
     by M1) or None.
 
@@ -554,8 +552,6 @@ def monoid_isomorphic(M1: FiniteCommMonoid, M2: FiniteCommMonoid,
     n = len(M1)
     if n != len(M2):
         return None
-    if n > cap:
-        raise errors.SizeOverBudget(f"isomorphism search capped at {cap} elements")
     profiles1 = [_order_profile(M1, x) for x in range(n)]
     profiles2 = [_order_profile(M2, y) for y in range(n)]
     if sorted(profiles1) != sorted(profiles2):
@@ -785,8 +781,7 @@ def enumerate_sandpile_monoid(g: SandpileGraph,
 
 
 def enumerate_weighted_monoid(g: WeightedDigraph, sink_relations: bool = True,
-                              cap: int = DEFAULT_WEIGHTED_CAP,
-                              max_rules: int = 4000) -> FiniteCommMonoid:
+                              cap: int = DEFAULT_WEIGHTED_CAP) -> FiniteCommMonoid:
     """Closure of the vertex generators under addition, with congruence
     decided through the completed firing rules, in graded order (number of
     grains, then lexicographic).  The normal forms are the vectors above no
@@ -800,7 +795,7 @@ def enumerate_weighted_monoid(g: WeightedDigraph, sink_relations: bool = True,
         raise errors.BadParameters("graph is not vertex weighted")
     _check_cap(cap)
     try:
-        rs = reduction_system(g, sink_relations, max_rules)
+        rs = reduction_system(g, sink_relations)
     except CompletionOverflow as exc:
         raise errors.Inconclusive(
             f"rule completion exceeded its budget ({exc})", partial_labels=None

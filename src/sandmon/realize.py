@@ -26,6 +26,7 @@ from .ktheory import cokernel, k0_matrix, reduced_laplacian
 from .monoid import (
     AbelianGroupInvariants,
     _induced_map,
+    _prime_factors,
     abelian_invariants,
     classify_cyclic_sum,
     cyclic_group_monoid,
@@ -242,17 +243,6 @@ class PrimeCase:
         }
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def prime_order_case(g: SandpileGraph) -> PrimeCase:
     """Classify sandpile monoids of prime order: with a single non-sink
     vertex x of out-degree p, either every edge hits the sink (the monoid is
@@ -262,7 +252,7 @@ def prime_order_case(g: SandpileGraph) -> PrimeCase:
     that the map does not cover raises CertificateFailed."""
     g = reduce_graph(g)
     size = prod(g.out_degree(v) for v in g.non_sink_vertices())
-    if not _is_prime(size):
+    if _prime_factors(size) != [size]:
         return PrimeCase("not_prime", size)
     # a prime product of out-degrees leaves one vertex besides the sink, as
     # a reduced graph has none of out-degree one
@@ -342,16 +332,14 @@ def cycle_suite(weights) -> CycleSuiteReport:
 # ---------------------------------------------------------------------- corpus
 
 
-def random_sandpile_corpus(count: int = 220, seed: int = 20260810,
-                           max_non_sink: int = 6, max_out_degree: int = 4,
-                           max_monoid_size: int = 64) -> list:
+def random_sandpile_corpus(count: int = 220, seed: int = 20260810) -> list:
     """Deterministic seeded corpus of valid sandpile graphs.
 
-    Every graph has at most ``max_non_sink`` non-sink vertices and out-degrees
-    at most ``max_out_degree``; graphs whose monoid would exceed
-    ``max_monoid_size`` elements are rejected so the exhaustive table
-    predicates stay fast.
+    Every graph has at most 6 non-sink vertices and out-degrees at most 4;
+    graphs whose monoid would exceed 64 elements are rejected so the
+    exhaustive table predicates stay fast.
     """
+    max_non_sink, max_out_degree, max_monoid_size = 6, 4, 64
     rng = random.Random(seed)
     graphs = []
     while len(graphs) < count:

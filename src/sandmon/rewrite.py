@@ -17,32 +17,38 @@ search for a common reduct as a fallback.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import errors
 from .graph import SandpileGraph, WeightedDigraph, shortest_sink_distances
 
 DEFAULT_STEP_BUDGET = 100_000
-
-Configuration = tuple
+MAX_RULES = 4000  # a completion with more rules raises CompletionOverflow
 
 # ------------------------------------------------------------- configurations
 
 
 def config_from_counts(g: WeightedDigraph, counts) -> tuple:
-    """Build a configuration from a mapping of vertex (name or index) to count."""
+    """Build a configuration from a mapping, or a list of pairs, of vertex
+    (name or index) to count.  Naming one vertex twice is BadParameters."""
     out = [0] * g.n_vertices
-    for v, k in dict(counts).items():
+    named = set()
+    for v, k in (counts.items() if isinstance(counts, Mapping) else counts):
         k = int(k)
         if k < 0:
             raise errors.BadParameters(f"negative count for {v!r}")
-        out[g._resolve(v)] = k
+        v = g._resolve(v)
+        if v in named:
+            raise errors.BadParameters(f"two counts for vertex {g.names[v]!r}")
+        named.add(v)
+        out[v] = k
     return tuple(out)
 
 
 def parse_config(g: WeightedDigraph, text: str) -> tuple:
     """Parse ``v1=3,s=1``; omitted vertices hold zero grains."""
-    counts = {}
+    counts = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -51,7 +57,7 @@ def parse_config(g: WeightedDigraph, text: str) -> tuple:
             raise errors.BadParameters(f"bad configuration entry {chunk!r}")
         name, _, value = chunk.partition("=")
         try:
-            counts[name.strip()] = int(value)
+            counts.append((name.strip(), int(value)))
         except ValueError:
             raise errors.BadParameters(f"bad count in {chunk!r}") from None
     return config_from_counts(g, counts)
@@ -455,17 +461,18 @@ class ReductionSystem:
 
     Completion reduces by the first applicable rule in list order, one
     application at a time, so ``rules`` (and where ``CompletionOverflow``
-    fires) is fixed by the relations alone.  Afterwards the normal forms
-    are the vectors above no left-hand side (Dickson's lemma), so a smaller
-    working set gives the same ones: the rules whose left-hand side is
-    minimal, with every right-hand side in normal form.  ``_by_gen[v]``
-    lists the working rules whose left-hand side uses v.  A reduction keeps
-    a worklist of the coordinates that grew, since only a rule using one of
-    them can have become applicable; ``add_generator(x, v)`` starts it at
-    {v} for an x already in normal form.
+    fires) is fixed by the relations and ``MAX_RULES`` alone.  Afterwards
+    the normal forms are the vectors above no left-hand side (Dickson's
+    lemma), so a smaller working set gives the same ones: the rules whose
+    left-hand side is minimal, with every right-hand side in normal form.
+    ``_by_gen[v]`` lists the working rules whose left-hand side uses v.  A
+    reduction keeps a worklist of the coordinates that grew, since only a
+    rule using one of them can have become applicable;
+    ``add_generator(x, v)`` starts it at {v} for an x already in normal
+    form.
     """
 
-    def __init__(self, n_gens: int, relations, max_rules: int = 4000):
+    def __init__(self, n_gens: int, relations):
         self.n_gens = n_gens
         self.rules = []
         sparse = []  # (checks, moves) of each rule, in list order
@@ -492,8 +499,8 @@ class ReductionSystem:
                 return
             if _deglex_key(x) < _deglex_key(y):
                 x, y = y, x
-            if len(self.rules) >= max_rules:
-                raise CompletionOverflow(f"more than {max_rules} rules")
+            if len(self.rules) >= MAX_RULES:
+                raise CompletionOverflow(f"more than {MAX_RULES} rules")
             new_index = len(self.rules)
             self.rules.append((x, y))
             sparse.append(_sparse_rule(x, y)[:2])
@@ -579,17 +586,17 @@ def graph_relations(g: WeightedDigraph, include_sink_relations: bool = True):
     return rels
 
 
-def reduction_system(g: WeightedDigraph, include_sink_relations: bool = True,
-                     max_rules: int = 4000) -> ReductionSystem:
-    """Completed rewriting system for the graph, cached per graph instance.
-    A completion that overflowed its rule budget is cached as a failure and
-    re-raised, so callers retrying do not pay for it twice."""
+def reduction_system(g: WeightedDigraph,
+                     include_sink_relations: bool = True) -> ReductionSystem:
+    """Completed rewriting system for the graph, cached per graph instance
+    and ``MAX_RULES``.  A completion that overflowed is cached as a failure
+    and re-raised, so callers retrying do not pay for it twice."""
     cache = g.__dict__.setdefault("_reduction_cache", {})
-    key = (include_sink_relations, max_rules)
+    key = (include_sink_relations, MAX_RULES)
     if key not in cache:
         try:
             cache[key] = ReductionSystem(
-                g.n_vertices, graph_relations(g, include_sink_relations), max_rules
+                g.n_vertices, graph_relations(g, include_sink_relations)
             )
         except CompletionOverflow as exc:
             cache[key] = exc

@@ -127,6 +127,56 @@ def test_stabilize_sp_mode_needs_a_sandpile_graph(capsys, tmp_path):
     assert payload["mode"] == "free" and payload["result"] == "v=3"
 
 
+def weighted_sandpile_file(tmp_path, weight):
+    """x with a loop and an edge to the sink s, both of the given weight: a
+    valid sandpile graph, balanced exactly when the weight is 2."""
+    f = tmp_path / f"weighted_{weight}.sg"
+    f.write_text(f"vertex x\nvertex s\nedge x s w={weight}\nedge x x w={weight}\n")
+    return str(f)
+
+
+def test_free_mode_fires_with_the_file_weights(capsys, tmp_path):
+    heavy = weighted_sandpile_file(tmp_path, 3)
+    # stable under the file's weight 3, though x has out-degree 2
+    rc, payload, _ = run_json(capsys, "stabilize", heavy, "--config", "x=2",
+                              "--mode", "free")
+    assert rc == 0
+    assert (payload["result"], payload["steps"]) == ("x=2", 0)
+    rc, payload, _ = run_json(capsys, "stabilize", heavy, "--config", "x=7",
+                              "--mode", "free")
+    assert (payload["result"], payload["odometer"]) == ("x=1,s=3", {"x": 3})
+    # wmonoid reads the same weight: 3x = x + s, s = 0 gives 0, x, 2x
+    assert run_json(capsys, "wmonoid", heavy)[1]["size"] == 3
+    # under the step budget, where the sandpile path needs none
+    rc, _, err = run(capsys, "stabilize", heavy, "--config", "x=7",
+                     "--mode", "free", "--budget", "2")
+    assert rc == 1 and "within 2 steps" in err
+    # weights that are the out-degrees, or all one, fire budget-free
+    for path, config, result in [
+        (weighted_sandpile_file(tmp_path, 2), "x=4", "x=1,s=3"),
+        (graph_path("g_2_3.sg"), "x=5", "x=2,s=3"),
+    ]:
+        rc, payload, _ = run_json(capsys, "stabilize", path, "--config", config,
+                                  "--mode", "free", "--budget", "0")
+        assert (rc, payload["result"]) == (0, result)
+    # weights that are not the out-degrees must agree at each vertex
+    mixed = tmp_path / "mixed.sg"
+    mixed.write_text("vertex x\nvertex s\nedge x s w=3\nedge x x w=2\n")
+    rc, out, err = run(capsys, "stabilize", str(mixed), "--config", "x=2",
+                       "--mode", "free")
+    assert (rc, out) == (1, "")
+    assert err == "error[BadParameters]: graph is not vertex weighted\n"
+
+
+def test_a_vertex_named_twice_in_a_configuration_is_refused(capsys):
+    for config in ("x=5,x=3", "x=5,s=1,x=5"):
+        for mode in ("sp", "free"):
+            rc, out, err = run(capsys, "stabilize", graph_path("g_2_3.sg"),
+                               "--config", config, "--mode", mode)
+            assert (rc, out) == (1, "")
+            assert err == "error[BadParameters]: two counts for vertex 'x'\n"
+
+
 def test_stabilize_budget_exhaustion(capsys, tmp_path):
     f = diverging_graph_file(tmp_path)
     rc, _, err = run(capsys, "stabilize", str(f), "--config", "u=2",
@@ -393,6 +443,20 @@ def test_export_dot(capsys):
     assert rc == 0
     assert out.startswith("digraph")
     assert '"s" [peripheries=2];' in out
+
+
+def test_export_dot_draws_the_file_weights(capsys, tmp_path):
+    rc, out, _ = run(capsys, "export-dot", weighted_sandpile_file(tmp_path, 3))
+    assert rc == 0
+    assert out == (
+        'digraph G {\n  "x";\n  "s" [peripheries=2];\n'
+        '  "x" -> "s" [label="w=3"];\n  "x" -> "x" [label="w=3"];\n}\n'
+    )
+    # unit edges stay unlabelled; a graph with no sink has no double border
+    rc, out, _ = run(capsys, "export-dot", graph_path("g_2_3.sg"))
+    assert "label" not in out and out.count(" -> ") == 5
+    rc, out, _ = run(capsys, "export-dot", graph_path("rose_1_4.sg"))
+    assert rc == 0 and "peripheries" not in out and '[label="w=4"]' in out
 
 
 def test_budget_env_override(capsys, monkeypatch, tmp_path):

@@ -26,6 +26,7 @@ from sandmon.graph import (
 )
 from sandmon.monoid import enumerate_sandpile_monoid, monoid_isomorphic
 from sandmon.realize import make_t_graph, random_sandpile_corpus
+from sandmon.rewrite import stabilize
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
@@ -343,6 +344,14 @@ def test_parse_errors(text):
     ("vertex a\nedge b c w=1.5\n", "line 2: bad weight"),
     ("vertex a\nedge a b q=2\n", "line 2: expected w=<int>"),
     ("vertex a\nedge a b w=0\n", "line 2: weight must be >= 1"),
+    # a weight is ASCII digits only, though int() takes more
+    ("vertex a\nedge a a w=3_0\n", "line 2: bad weight"),
+    ("vertex a\nedge a a w=+3\n", "line 2: bad weight"),
+    ("vertex a\nedge a a w=-3\n", "line 2: bad weight"),
+    ("vertex a\nedge a a w=\u0663\n", "line 2: bad weight"),
+    ("vertex a\nedge a a w=\uff13\n", "line 2: bad weight"),
+    ("vertex a\nedge a a w=\u00b3\n", "line 2: bad weight"),
+    ("vertex a\nedge a a w=\n", "line 2: bad weight"),
     ("vertex a\nedge b\n",
      "line 2: edge takes source, target and optional w=<int>"),
     ("vertex a\nedge b c w=1 extra\n",
@@ -395,6 +404,21 @@ def test_dot_export():
     # weight labels only above one
     plain = graph_to_dot(WeightedDigraph(["a", "b"], [("a", "b", 1)]))
     assert "label" not in plain and "peripheries" not in plain
+    # a sink given by its index, on a graph that keeps its own weights
+    dot = graph_to_dot(WeightedDigraph(["x", "s"], [("x", "s", 3), ("x", "x", 3)]), 1)
+    assert '"s" [peripheries=2];' in dot and '"x";' in dot
+    assert dot.count('[label="w=3"]') == 2
+
+
+def test_sandpile_constructor_imposes_the_balanced_weighting():
+    g = SandpileGraph(["x", "s"], [("x", "s", 1)] * 3, "s")
+    assert g.edges == ((0, 1, 3),) * 3 and g.weight("x") == 3
+    assert stabilize(g, (1, 0), sink_absorbing=False).result == (1, 0)
+    assert stabilize(g, (4, 0), sink_absorbing=False).result == (1, 3)
+    assert g == validate_sandpile(WeightedDigraph(["x", "s"], [("x", "s", 1)] * 3))
+    # weights of any size give way, and the axioms are still not checked
+    g = SandpileGraph(["a", "b", "s"], [("a", "a", 5), ("b", "s", 2), ("b", "a", 7)], "s")
+    assert g.edges == ((0, 0, 1), (1, 2, 2), (1, 0, 2))
 
 
 def test_corpus_graphs_are_balanced_and_in_bounds():

@@ -170,6 +170,14 @@ def test_config_serialization():
         parse_config(G23, "x=oops")
     with pytest.raises(errors.UnknownVertex):
         config_from_counts(G23, {"nope": 1})
+    # one vertex named twice, by name or by name and index
+    for named_twice in (lambda: parse_config(G23, "x=5,x=3"),
+                        lambda: parse_config(G23, "s=1, x=5 ,x =3"),
+                        lambda: config_from_counts(G23, {"x": 1, 0: 2})):
+        with pytest.raises(errors.BadParameters) as info:
+            named_twice()
+        assert str(info.value) == "two counts for vertex 'x'"
+    assert config_from_counts(G23, [("s", 2), (0, 1)]) == (1, 2)
     assert format_element(G23.names, (2, 1)) == "2x+s"
     assert format_element(G23.names, (0, 0)) == "0"
 
@@ -711,9 +719,7 @@ def test_equivalent_falls_back_to_the_search_when_completion_overflows(monkeypat
     g = diverging_graph()
     # the completed rules decide what the budgeted search cannot
     assert equivalent(g, (2, 0), (1, 0), budget=30) is False
-    real = rewrite.reduction_system
-    monkeypatch.setattr(rewrite, "reduction_system",
-                        lambda graph, sr: real(graph, sr, max_rules=1))
+    monkeypatch.setattr(rewrite, "MAX_RULES", 1)
     with pytest.raises(CompletionOverflow):
         rewrite.reduction_system(g, True)
     assert equivalent(g, (2, 0), (1, 0), budget=30) is None
