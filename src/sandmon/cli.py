@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -26,21 +25,12 @@ from .group import sandpile_group
 
 
 def _step_budget(args) -> int:
-    """``--budget``, else ``SANDMON_BUDGET``, else the library default."""
-    budget = args.budget
-    if budget is None:
-        env = os.environ.get("SANDMON_BUDGET")
-        if not env:
-            return rewrite.DEFAULT_STEP_BUDGET
-        try:
-            budget = int(env)
-        except ValueError:
-            raise errors.BadParameters(
-                f"SANDMON_BUDGET must be an integer, got {env!r}"
-            ) from None
-    if budget < 0:
-        raise errors.BadParameters(f"step budget must be >= 0, got {budget}")
-    return budget
+    """``--budget``, else the library default; BadParameters below 0."""
+    if args.budget is None:
+        return rewrite.DEFAULT_STEP_BUDGET
+    if args.budget < 0:
+        raise errors.BadParameters(f"step budget must be >= 0, got {args.budget}")
+    return args.budget
 
 
 def _cap(args, default: int) -> int:
@@ -325,8 +315,9 @@ def _run_golden(args) -> int:
 def cmd_classify(args) -> int:
     g = _load_sandpile(args.graph)
     reduced = reduce_graph(g)
-    structure, witness, sp = realize.classify_sandpile(reduced)
-    cyclic = monoid.classify_cyclic_sum(sp)
+    structure, witness = realize.refinement_structure(reduced)
+    # a sum of cyclic monoids is a graph monoid, so a refinement monoid
+    cyclic = sorted(structure.orders) if structure else None
     payload = {
         "report": "classify",
         "refinement": structure is not None,
@@ -422,8 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
                         " graph")
     p.add_argument("--budget", type=int, default=None,
                    help="step budget on graphs that need not stabilize"
-                        " (default: SANDMON_BUDGET, else %d)"
-                        % rewrite.DEFAULT_STEP_BUDGET)
+                        " (default: %d)" % rewrite.DEFAULT_STEP_BUDGET)
 
     p = add("monoid", "sandpile monoid report")
     p.add_argument("--cap", type=int, default=None)

@@ -85,7 +85,7 @@ def verify_monoid(M: FiniteCommMonoid):
         for b in range(a + 1, n):
             if add[a][b] != add[b][a]:
                 raise ValueError(f"not commutative at ({a}, {b})")
-    for g in _generator_indices(M):
+    for g in _generating_set(M):
         row_g = add[g]
         for x in range(n):
             row_xg, row_x = add[add[x][g]], add[x]
@@ -206,24 +206,6 @@ def _smaller_split(decomps, a: int, b: int):
     return decomps[a], b
 
 
-def _generator_indices(M: FiniteCommMonoid) -> list:
-    """The nonzero values of ``M.generators`` when adding them to zero again
-    and again reaches every element, else ``_generating_set(M)``."""
-    n, add = len(M), M.add
-    gens = sorted({g for g in (M.generators or {}).values()
-                   if isinstance(g, int) and 0 <= g < n} - {M.zero})
-    reached = {M.zero}
-    frontier = [M.zero]
-    while frontier:
-        row = add[frontier.pop()]
-        for g in gens:
-            y = row[g]
-            if y not in reached:
-                reached.add(y)
-                frontier.append(y)
-    return gens if len(reached) == n else _generating_set(M)
-
-
 def is_refinement(M: FiniteCommMonoid):
     """Exhaustive refinement check.  Returns (True, None) or
     (False, (a, b, c, d)) with a witnessing equation: the first equation
@@ -241,7 +223,7 @@ def is_refinement(M: FiniteCommMonoid):
     lies (up to swapping sides).
     """
     add, sol, decomps = M.add, _solutions(M), _decomps(M)
-    gens = _generator_indices(M)
+    gens = _generating_set(M)
     for t, pairs in enumerate(decomps):
         for x in gens:
             for y in sol[x].get(t, ()):
@@ -707,16 +689,18 @@ def _closure_monoid(names, step, key, cap: int) -> FiniteCommMonoid:
     canonical and form a down-set, so for x nonzero and v its last nonzero
     coordinate, x - e_v is an element, which ``key`` must put before x.
     Row 0 is the identity, and row x is act[v] applied to row x - e_v, as
-    nf(x + y) = nf(nf(x - e_v + y) + e_v).  That is |M|*n steps, not
-    |M|^2 / 2.
+    nf(x + y) = nf(nf(x - e_v + y) + e_v).  That is at most |M|*n steps,
+    not |M|^2 / 2: a generator with step(0, v) = 0 acts as the identity, so
+    only zero is stepped with it.
     """
     zero = (0,) * len(names)
     # the loop also visits the elements it appends
     found = [zero]
     index = {zero: 0}
     act = [[] for _ in names]
+    moving = list(enumerate(act))
     for rep in found:
-        for v, row in enumerate(act):
+        for v, row in moving:
             y = step(rep, v)
             x = index.get(y)
             if x is None:
@@ -728,11 +712,16 @@ def _closure_monoid(names, step, key, cap: int) -> FiniteCommMonoid:
                 x = index[y] = len(found)
                 found.append(y)
             row.append(x)
+        if rep is zero:
+            # a generator with nf(e_v) = 0 acts as the identity
+            moving = [(v, row) for v, row in moving if row[0]]
     elements = sorted(found, key=key)
     order = [index[rep] for rep in elements]
     pos = {x: i for i, x in enumerate(order)}
-    # act in sorted indices, on both sides
-    act = [[pos[row[x]] for x in order] for row in act]
+    # act in sorted indices, on both sides; an identity row holds only its
+    # step from zero, which is zero
+    act = [[pos[row[x]] for x in order] if row[0] else list(range(len(order)))
+           for row in act]
     table = [list(range(len(elements)))]
     for rep in elements[1:]:
         v = len(rep) - 1

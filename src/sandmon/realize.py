@@ -1,6 +1,7 @@
 """End-to-end certification: quotient realization of sandpile monoids,
-refinement structure, prime-order classification, and the weighted cycle
-suite, together with the seeded graph corpus used by the property tests."""
+refinement structure read off the cycle presentation, prime-order
+classification, and the weighted cycle suite, together with the seeded
+graph corpus used by the property tests."""
 
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .graph import (
     validate_sandpile,
     weighted_cycle_graph,
 )
-from .ktheory import cokernel, k0_matrix, reduced_laplacian
+from .ktheory import _divisibility_chain, cokernel, k0_matrix, reduced_laplacian
 from .monoid import (
     AbelianGroupInvariants,
     _induced_map,
@@ -161,67 +162,73 @@ class RefinementStructure:
     orders: list
 
 
+def _cycle_classes(g: SandpileGraph):
+    """(classes, None) when every non-sink vertex sends exactly one edge away
+    from the sink and those edges permute the non-sink vertices, each class
+    one cycle of the permutation; else (None, the reason it fails)."""
+    successor = {}
+    for v in g.non_sink_vertices():
+        away = [t for t in g.out_targets[v] if t != g.sink]
+        if len(away) != 1:
+            return None, (f"sends {len(away)} edges from {g.names[v]} away from"
+                          " the sink, not exactly one")
+        successor[v] = away[0]
+    if sorted(successor.values()) != sorted(successor):
+        return None, ("has edges away from the sink that do not permute the"
+                      " non-sink vertices")
+    classes = []
+    seen = set()
+    for v in sorted(successor):
+        cycle = []
+        while v not in seen:
+            seen.add(v)
+            cycle.append(v)
+            v = successor[v]
+        if cycle:
+            classes.append(cycle)
+    return classes, None
+
+
 def refinement_structure(g: SandpileGraph):
-    """For a reduced conical sandpile graph whose monoid is refinement,
-    return the partition of the non-sink vertices into oriented cycles
-    (each vertex sends exactly one edge along its cycle, all remaining edges
-    to the sink), with the cyclic order contributed by each class.
+    """For a reduced conical sandpile graph, SP(G) is refinement exactly
+    when the non-sink vertices form disjoint cycles draining into the sink.
+    Returns (RefinementStructure, None) with the cycles and their orders,
+    or (None, witness) with a refinement counterexample.
 
-    Returns (RefinementStructure, None) on success, (None, witness) with a
-    refinement counterexample otherwise.
+    NotReduced and NotConical come first.  On a union of cycles nothing is
+    enumerated: the presentation gives d_i v_i = v_{i+1} around a cycle of
+    out-degrees d_i, which Tietze moves reduce to n v_1 = v_1 with n the
+    product of the d_i, so the class is C_n.  The reduced Laplacian's
+    cokernel must then be the sum of the Z/(n - 1), the groups of the C_n;
+    otherwise CertificateFailed, also under ``python -O``.  Any other graph
+    is enumerated only to find the witness, and a refinement verdict there
+    raises CertificateFailed naming where the cycle structure fails.
     """
-    structure, witness, _ = classify_sandpile(g)
-    return structure, witness
-
-
-def classify_sandpile(g: SandpileGraph):
-    """``refinement_structure(g)`` together with the sandpile monoid it
-    enumerated: (structure, witness, monoid).  NotReduced and NotConical
-    are raised before the enumeration.  A refinement verdict on a graph
-    that is not a disjoint union of cycles draining into the sink raises
-    CertificateFailed."""
     if not g.is_reduced():
         raise errors.NotReduced("graph has irrelevant vertices; reduce it first")
     conical, witnesses = conicality_report(g)
     if not conical:
         raise errors.NotConical(witnesses)
-    sp = enumerate_sandpile_monoid(g)
-    ok, witness = is_refinement(sp)
-    if not ok:
-        return None, tuple(sp.labels[w] for w in witness), sp
-    successor = {}
-    for v in g.non_sink_vertices():
-        away = [t for t in g.out_targets[v] if t != g.sink]
-        if len(away) != 1:
-            raise errors.CertificateFailed(
-                f"refinement sandpile graph sends {len(away)} edges from"
-                f" {g.names[v]} away from the sink, not exactly one"
-            )
-        successor[v] = away[0]
-    if sorted(successor.values()) != sorted(successor):
-        raise errors.CertificateFailed(
-            "refinement sandpile graph: the edges away from the sink do not"
-            " permute the non-sink vertices"
-        )
-    classes = []
-    seen = set()
-    for v in sorted(successor):
-        if v in seen:
-            continue
-        cycle = [v]
-        seen.add(v)
-        u = successor[v]
-        while u != v:
-            cycle.append(u)
-            seen.add(u)
-            u = successor[u]
-        classes.append(cycle)
+    classes, reason = _cycle_classes(g)
+    if classes is None:
+        sp = enumerate_sandpile_monoid(g)
+        ok, witness = is_refinement(sp)
+        if ok:
+            raise errors.CertificateFailed(f"refinement sandpile graph {reason}")
+        return None, tuple(sp.labels[w] for w in witness)
     orders = [prod(g.out_degree(v) for v in cycle) for cycle in classes]
-    structure = RefinementStructure(
+    laplacian = cokernel(reduced_laplacian(g))
+    chain = _divisibility_chain([n - 1 for n in orders])
+    expected = AbelianGroupInvariants(tuple(chain))
+    if laplacian != expected:
+        raise errors.CertificateFailed(
+            f"the reduced Laplacian's cokernel is {laplacian.describe()}, not"
+            f" {expected.describe()} as the cycle orders {orders} give"
+        )
+    return RefinementStructure(
         classes=[[g.names[v] for v in cycle] for cycle in classes],
         orders=orders,
-    )
-    return structure, None, sp
+    ), None
 
 
 # ----------------------------------------------------------------- prime order

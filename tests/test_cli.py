@@ -396,7 +396,13 @@ def count_sandpile_enumerations(monkeypatch):
 
 
 def test_classify_enumerates_the_monoid_once(capsys, monkeypatch, tmp_path):
+    """A union of cycles is classified from the graph alone; any other
+    graph is enumerated and searched once, for the witness."""
     calls = count_sandpile_enumerations(monkeypatch)
+    searches = []
+    real_search = realize.is_refinement
+    monkeypatch.setattr(realize, "is_refinement",
+                        lambda M: searches.append(M) or real_search(M))
     paths = [graph_path(name) for name in ("cycle_2_2_1.sg", "g_2_3.sg", "t.sg",
                                            "prime_z5.sg")]
     for i, g in enumerate(random_sandpile_corpus(count=30)):
@@ -405,16 +411,19 @@ def test_classify_enumerates_the_monoid_once(capsys, monkeypatch, tmp_path):
         paths.append(str(path))
     outcomes = []
     for path in paths:
-        del calls[:]
-        rc, _, err = run(capsys, "classify", path, "--json")
+        del calls[:], searches[:]
+        rc, out, err = run(capsys, "classify", path, "--json")
         outcomes.append(rc)
         if rc == 0:
-            assert len(calls) == 1, path
+            refinement = json.loads(out)["refinement"]
+            outcomes[-1] = refinement
+            assert len(calls) == len(searches) == (0 if refinement else 1), path
         else:
             # NotReduced and NotConical come before any enumeration
             assert err.startswith(("error[NotConical]", "error[NotReduced]")), err
-            assert calls == [], path
-    assert outcomes[3] == 1 and outcomes.count(0) >= 10
+            assert calls == searches == [], path
+    assert outcomes[:4] == [True, False, False, 1]
+    assert outcomes.count(True) >= 3 and outcomes.count(False) >= 10
 
 
 def test_prime_report(capsys):
@@ -459,38 +468,28 @@ def test_export_dot_draws_the_file_weights(capsys, tmp_path):
     assert rc == 0 and "peripheries" not in out and '[label="w=4"]' in out
 
 
-def test_budget_env_override(capsys, monkeypatch, tmp_path):
+def test_bad_budgets_are_rejected(capsys, tmp_path):
     f = diverging_graph_file(tmp_path)
-    monkeypatch.setenv("SANDMON_BUDGET", "7")
-    rc, _, err = run(capsys, "stabilize", str(f), "--config", "u=2",
-                     "--mode", "free")
-    assert rc == 1
-    assert "within 7 steps" in err
-
-
-def test_bad_budgets_are_rejected(capsys, monkeypatch, tmp_path):
-    f = diverging_graph_file(tmp_path)
-    for env in ("lots", "1e3", "-1"):
-        monkeypatch.setenv("SANDMON_BUDGET", env)
-        rc, out, err = run(capsys, "stabilize", str(f), "--config", "u=2",
-                           "--mode", "free")
-        assert (rc, out) == (1, "")
-        assert err.startswith("error[BadParameters]"), env
-        # on a sandpile graph the budget is unused, but still checked
-        rc, out, err = run(capsys, "stabilize", graph_path("g_2_3.sg"),
-                           "--config", "x=5")
-        assert (rc, out) == (1, "")
-        assert err.startswith("error[BadParameters]"), env
-    # --budget wins over the environment, and is checked the same way
     rc, _, err = run(capsys, "stabilize", str(f), "--config", "u=2",
                      "--mode", "free", "--budget", "3")
     assert rc == 1
     assert "within 3 steps" in err
-    monkeypatch.delenv("SANDMON_BUDGET")
     rc, out, err = run(capsys, "stabilize", str(f), "--config", "u=2",
                        "--mode", "free", "--budget", "-2")
     assert (rc, out) == (1, "")
     assert err.startswith("error[BadParameters]")
+
+
+def test_the_budget_environment_variable_is_not_read(capsys, monkeypatch):
+    argvs = [["stabilize", graph_path("g_2_3.sg"), "--config", "x=5"],
+             ["stabilize", graph_path("rose_1_4.sg"), "--config", "v=9",
+              "--mode", "free"]]
+    monkeypatch.delenv("SANDMON_BUDGET", raising=False)
+    expected = [run(capsys, *argv) for argv in argvs]
+    assert [rc for rc, _, _ in expected] == [0, 0]
+    for env in ("lots", "1"):
+        monkeypatch.setenv("SANDMON_BUDGET", env)
+        assert [run(capsys, *argv) for argv in argvs] == expected
 
 
 def test_seed_option_is_gone(capsys):

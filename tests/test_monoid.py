@@ -529,8 +529,9 @@ def test_default_sandpile_cap(monkeypatch):
 def test_sandpile_enumeration_stabilises_only_a_grain_that_tops_a_digit(monkeypatch):
     """A grain that leaves v below its out-degree d_v needs no firing, so
     the enumeration stabilises once for each configuration with d_v - 1
-    grains on v: |M| / d_v times for each non-sink v.  The pairwise
-    reference sees the table, not what it cost."""
+    grains on v: |M| / d_v times for each non-sink v.  A vertex whose grain
+    stabilises to zero acts as the identity and is stabilised from zero
+    alone.  The pairwise reference sees the table, not what it cost."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -538,10 +539,15 @@ def test_sandpile_enumeration_stabilises_only_a_grain_that_tops_a_digit(monkeypa
         return _stable_form(*args, **kwargs)
 
     monkeypatch.setattr(monoid, "_stable_form", counted)
+    identities = 0
     for g in [grid_graph(2, 2), complete_graph(5)] + random_sandpile_corpus(count=20):
         calls.clear()
-        size = len(enumerate_sandpile_monoid(g))
-        assert len(calls) == sum(size // g.out_degree(v) for v in g.non_sink_vertices())
+        M = enumerate_sandpile_monoid(g)
+        idle = [M.generators[g.names[v]] == M.zero for v in g.non_sink_vertices()]
+        assert len(calls) == sum(1 if i else len(M) // g.out_degree(v)
+                                 for v, i in zip(g.non_sink_vertices(), idle))
+        identities += sum(idle)
+    assert identities >= 3
 
 
 def test_smallest_ideal_is_cached():
@@ -939,10 +945,11 @@ def test_refinement_searches_only_generator_equations(monkeypatch):
     monkeypatch.setattr(monoid, "_refine", counted)
     assert is_refinement(M) == (True, None)
     decomps = monoid._decomps(M)
-    gens = sorted(set(M.generators.values()) - {M.zero})
-    assert len(gens) == 6
-    # one search per equation x + a = c + d: 54,144 of the 316,096 equations
-    assert len(searches) == sum(len(decomps[t]) for x in gens for t in M.add[x]) == 54144
+    # one generator of each cyclic summand, not the six vertices
+    gens = monoid._generating_set(M)
+    assert gens == [M.generators["c1v3"], M.generators["c0v3"]]
+    # one search per equation x + a = c + d: 18,048 of the 316,096 equations
+    assert len(searches) == sum(len(decomps[t]) for x in gens for t in M.add[x]) == 18048
     assert sum(len(p) * (len(p) + 1) // 2 for p in decomps) == 316096
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from sandmon import errors, monoid, realize
 from sandmon.cli import main
 from sandmon.graph import (
     WeightedDigraph,
+    graph_to_text,
     loop_sink_graph,
     multi_cycle_sandpile,
     non_cycle_vertices,
@@ -23,11 +25,12 @@ from sandmon.monoid import (
     classify_cyclic_sum,
     enumerate_sandpile_monoid,
     enumerate_weighted_monoid,
+    is_refinement,
     quotient_by_submonoid,
     units,
 )
 from sandmon.realize import (
-    classify_sandpile,
+    RefinementStructure,
     conicality_report,
     cycle_suite,
     make_t_graph,
@@ -216,16 +219,122 @@ def test_refinement_structure_preconditions_come_before_enumeration(monkeypatch)
         ["a", "b", "s"], [("a", "b", 1), ("b", "s", 1)]
     ))
     with pytest.raises(errors.NotReduced):
-        classify_sandpile(chain)
+        refinement_structure(chain)
     with pytest.raises(errors.NotConical):
-        classify_sandpile(zp_graph(3))
+        refinement_structure(zp_graph(3))
 
 
-def test_classify_sandpile_returns_the_monoid_it_checked():
-    g = multi_cycle_sandpile([[2, 2], [3, 2, 2]])
-    structure, witness, sp = classify_sandpile(g)
-    assert (structure, witness) == refinement_structure(g)
-    assert len(sp) == 48 and sp.labels == enumerate_sandpile_monoid(g).labels
+def reference_classification(g):
+    """The table route ``classify`` took before it read the cycles off the
+    graph: enumerate SP(G), decide refinement by the exhaustive search, read
+    the cycle classes off a refinement graph, and classify the table as a
+    sum of cyclic monoids.  Returns (structure, witness, cyclic sum)."""
+    sp = enumerate_sandpile_monoid(g)
+    ok, witness = is_refinement(sp)
+    cyclic = classify_cyclic_sum(sp)
+    if not ok:
+        return None, tuple(sp.labels[w] for w in witness), cyclic
+    successor = {}
+    for v in g.non_sink_vertices():
+        (successor[v],) = [t for t in g.out_targets[v] if t != g.sink]
+    assert sorted(successor.values()) == sorted(successor)
+    classes = []
+    seen = set()
+    for v in sorted(successor):
+        if v in seen:
+            continue
+        cycle = [v]
+        seen.add(v)
+        u = successor[v]
+        while u != v:
+            cycle.append(u)
+            seen.add(u)
+            u = successor[u]
+        classes.append(cycle)
+    structure = RefinementStructure(
+        classes=[[g.names[v] for v in cycle] for cycle in classes],
+        orders=[prod(g.out_degree(v) for v in cycle) for cycle in classes],
+    )
+    return structure, None, cyclic
+
+
+# unions of cycles up to 1024 elements, the largest the table route took 4 s on
+CYCLE_UNIONS = ([[2]], [[3], [2]], [[2, 2], [3, 2, 2]], [[4, 4], [2, 4], [3]],
+                [[2, 2, 2], [4, 2, 2]], [[8], [2, 2, 2, 2]], [[4, 4, 4], [4, 4]])
+
+
+def classify_inputs():
+    """Reduced conical graphs: two seeded corpora, the cycle unions and the
+    named examples."""
+    graphs = [*random_sandpile_corpus(count=120, seed=53),
+              *random_sandpile_corpus(count=120, seed=2),
+              *map(multi_cycle_sandpile, CYCLE_UNIONS),
+              *named_examples().values()]
+    for g in graphs:
+        r = reduce_graph(g)
+        if conicality_report(r)[0]:
+            yield r
+
+
+def test_refinement_structure_matches_the_table_route():
+    verdicts = []
+    for g in classify_inputs():
+        structure, witness = refinement_structure(g)
+        ref_structure, ref_witness, ref_cyclic = reference_classification(g)
+        assert structure == ref_structure, g.names
+        assert witness == ref_witness, g.names
+        assert (sorted(structure.orders) if structure else None) == ref_cyclic
+        verdicts.append(structure is not None)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+def test_classify_reports_a_cycle_union_past_the_cap(capsys, tmp_path):
+    g = multi_cycle_sandpile([[5] * 8, [3] * 7])
+    # the table route stops at the cap: 5**8 * 3**7, about 8.5 * 10**8 elements
+    with pytest.raises(errors.SizeOverBudget):
+        enumerate_sandpile_monoid(g)
+    path = tmp_path / "union.sg"
+    path.write_text(graph_to_text(g), encoding="utf-8")
+    assert main(["classify", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "refinement: True\n"
+        "class {c0v1, c0v2, c0v3, c0v4, c0v5, c0v6, c0v7, c0v8} -> C390625\n"
+        "class {c1v1, c1v2, c1v3, c1v4, c1v5, c1v6, c1v7} -> C2187\n"
+        "cyclic sum: C2187 + C390625\n"
+    )
+
+
+def test_the_cycle_union_certificate_can_fail(monkeypatch, capsys):
+    monkeypatch.setattr(realize, "cokernel", lambda A: AbelianGroupInvariants((7,)))
+    for classes in CYCLE_UNIONS:
+        with pytest.raises(errors.CertificateFailed, match="reduced Laplacian"):
+            refinement_structure(multi_cycle_sandpile(classes))
+    assert main(["classify", str(GRAPHS / "cycle_2_2_1.sg")]) == 1
+    assert capsys.readouterr().err.startswith("error[CertificateFailed]")
+    # graphs that are no union of cycles do not read the cokernel
+    assert refinement_structure(loop_sink_graph(2, 3))[0] is None
+
+
+def test_the_cycle_union_certificate_runs_without_asserts():
+    code = (
+        "from sandmon import errors, realize\n"
+        "from sandmon.graph import multi_cycle_sandpile\n"
+        "from sandmon.monoid import AbelianGroupInvariants\n"
+        "realize.cokernel = lambda A: AbelianGroupInvariants((7,))\n"
+        "try:\n"
+        "    realize.refinement_structure(multi_cycle_sandpile([[2, 2], [3]]))\n"
+        "except errors.CertificateFailed as exc:\n"
+        "    print(exc)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120,
+    )
+    assert out.stdout == (
+        "the reduced Laplacian's cokernel is Z/7, not Z/6 as the cycle orders"
+        " [4, 3] give\n"
+    )
 
 
 # Graphs whose monoid is not refinement, so that the cycle structure checks
