@@ -22,7 +22,6 @@ from .graph import (
 )
 from .group import SandpileGroup, sandpile_group
 from .ktheory import (
-    adjacency,
     cokernel,
     determinant,
     k0_matrix,

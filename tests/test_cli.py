@@ -3,6 +3,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sandmon import cli, ktheory, monoid, realize, rewrite
 from sandmon.cli import build_parser, main
@@ -292,6 +293,33 @@ def test_json_mode_renders_no_text_lines(capsys, monkeypatch):
                        (["realize", graph_path("t.sg")], 0)):
         rc, _, _ = run_json(capsys, *argv)
         assert rc == code
+
+
+# keys and strings with quotes, backslashes, control and non-ASCII characters
+JSON_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001d11e'), st.characters()))
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2 ** 64),
+    st.integers(max_value=-2 ** 64), st.floats(), JSON_TEXT,
+)
+# lists of ints, and lists where bools and None sit among the ints
+INT_LISTS = st.one_of(st.lists(st.integers()),
+                      st.lists(st.one_of(st.integers(), st.booleans(), st.none())))
+JSON_PAYLOADS = st.recursive(
+    st.one_of(JSON_LEAVES, INT_LISTS, INT_LISTS.map(tuple)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_TEXT, inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=2),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_PAYLOADS)
+def test_render_json_is_json_dumps_byte_for_byte(payload):
+    assert cli.render_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def test_stabilize_renders_the_result_once(capsys, monkeypatch):

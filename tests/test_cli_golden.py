@@ -25,6 +25,7 @@ change, rewrite the files with
 
 import contextlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ from unittest import mock
 
 import pytest
 
+from sandmon import cli
 from sandmon.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,6 +107,30 @@ def test_report_matches_the_golden_file(name):
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert transcript(cases()[name]) == expected
 
+
+def test_reports_render_as_json_dumps_does(monkeypatch):
+    """Every --json payload behind the golden transcripts renders as
+    ``json.dumps(payload, indent=2, sort_keys=True)`` does, and no report
+    goes through ``json.dumps``."""
+    payloads = []
+    emit = cli._emit
+
+    def recording(args, payload, text_lines):
+        if args.json:
+            payloads.append(payload)
+        emit(args, payload, text_lines)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report went through json.dumps")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_emit", recording)
+        patch.setattr(json, "dumps", refuse)
+        for argvs in cases().values():
+            transcript(argvs)
+    assert payloads
+    for payload in payloads:
+        assert cli.render_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 if __name__ == "__main__":
