@@ -63,7 +63,6 @@ from .realize import (
 )
 from .rewrite import (
     StabilizationTrace,
-    common_reduct,
     config_from_counts,
     config_to_str,
     equivalent,

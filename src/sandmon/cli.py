@@ -207,7 +207,11 @@ def _monoid_lines(payload: dict) -> list:
 
 def cmd_monoid(args) -> int:
     g = _load_sandpile(args.graph)
-    M = monoid.enumerate_sandpile_monoid(g, cap=_cap(args, monoid.DEFAULT_SANDPILE_CAP))
+    try:
+        M = monoid.enumerate_sandpile_monoid(g, cap=_cap(args, monoid.DEFAULT_SANDPILE_CAP))
+    except errors.SizeOverBudget as exc:
+        # the one command with the flag names it
+        raise errors.SizeOverBudget(f"{exc} (raise it with --cap)") from None
     payload = {"report": "monoid", **_monoid_payload(M)}
     _emit(args, payload, lambda: _monoid_lines(payload))
     return 0

@@ -751,7 +751,6 @@ def enumerate_sandpile_monoid(g: SandpileGraph,
     if size > _check_cap(cap):
         raise errors.SizeOverBudget(
             f"sandpile monoid has {size} elements, cap is {cap}"
-            " (raise it with --cap)"
         )
     tops = [g.out_degree(v) - 1 for v in range(g.n_vertices)]
     sink = g.sink

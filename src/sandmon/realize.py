@@ -266,13 +266,14 @@ def prime_order_case(g: SandpileGraph) -> PrimeCase:
     (x,) = g.non_sink_vertices()
     loops = sum(1 for t in g.out_targets[x] if t == x)
     sink_edges = g.out_degree(x) - loops
+    # the enumeration meets its cap before any step: build no model past it
+    sp = enumerate_sandpile_monoid(g)
     if loops == 0:
         case = PrimeCase("cyclic_group", size, loops=0, sink_edges=size)
         model = cyclic_group_monoid(size)
     else:
         case = PrimeCase("monogenic", size, loops=loops, sink_edges=sink_edges)
         model = monogenic_monoid(loops, sink_edges)
-    sp = enumerate_sandpile_monoid(g)
     phi = _induced_map(model, sp, [(model.generators["x"], sp.generators[g.names[x]])])
     if phi is None or not len(phi) == len(model) == len(sp):
         raise errors.CertificateFailed(

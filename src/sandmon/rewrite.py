@@ -8,10 +8,9 @@ grains when sink relations are switched on; that is the congruence used by
 graph monoids, while the potential certificate and plain stabilisation work
 with sink grains retained.
 
-Deciding whether two configurations are congruent is done in three layers:
-stable-form comparison on sandpile graphs, an exact check through a
-confluent completion of the firing rules, and a budgeted breadth-first
-search for a common reduct as a fallback.
+Deciding whether two configurations are congruent is done in two exact
+layers: stable-form comparison on sandpile graphs, and normal forms of a
+confluent completion of the firing rules elsewhere.
 """
 
 from __future__ import annotations
@@ -118,27 +117,6 @@ def _firing_rules(g: WeightedDigraph) -> tuple:
     return rules
 
 
-def _fire_once(g: WeightedDigraph, c: tuple, v: int, sink_rule: bool):
-    """c after one firing of v, or None when v cannot fire.  A regular v
-    needs weight(v) grains: it loses them and sends one grain along each
-    outgoing edge.  A sink fires only under ``sink_rule``, and then it
-    fires one grain away."""
-    rule = _firing_rules(g)[0][v]
-    if rule is None:
-        if not sink_rule:
-            return None
-        w, targets = 1, ()
-    else:
-        w, targets = rule
-    if c[v] < w:
-        return None
-    out = list(c)
-    out[v] -= w
-    for t in targets:
-        out[t] += 1
-    return tuple(out)
-
-
 def topple_once(g: WeightedDigraph, c, v) -> tuple:
     """Fire the regular vertex v once: remove weight(v) grains, deliver one
     along each outgoing edge.  Sink grains are retained."""
@@ -146,12 +124,16 @@ def topple_once(g: WeightedDigraph, c, v) -> tuple:
     v = g._resolve(v)
     if not g.out_edge_ids[v]:
         raise errors.SinkCannotTopple(f"{g.names[v]!r} is a sink")
-    out = _fire_once(g, c, v, sink_rule=False)
-    if out is None:
+    w, targets = _firing_rules(g)[0][v]
+    if c[v] < w:
         raise errors.VertexStable(
-            f"{g.names[v]!r} holds {c[v]} grains, needs {g.weight(v)} to fire"
+            f"{g.names[v]!r} holds {c[v]} grains, needs {w} to fire"
         )
-    return out
+    out = list(c)
+    out[v] -= w
+    for t in targets:
+        out[t] += 1
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -280,135 +262,16 @@ def potential(g: SandpileGraph, c) -> int:
     return sum(k * D ** (n - dist[v]) for v, k in enumerate(c) if k)
 
 
-# ------------------------------------------------------------ congruence search
+# ------------------------------------------------------------------ congruence
 
 
-def _successor_moves(g: WeightedDigraph, sink_rule: bool, c):
-    """All one-step firings from c: (vertex, successor) pairs."""
-    moves = []
-    for v in range(len(c)):
-        nxt = _fire_once(g, c, v, sink_rule)
-        if nxt is not None:
-            moves.append((v, nxt))
-    return moves
+def equivalent(g: WeightedDigraph, a, b,
+               include_sink_relations: bool = True) -> bool:
+    """Decide congruence of two configurations exactly.
 
-
-@dataclass(frozen=True)
-class CommonReduct:
-    config: tuple
-    steps_from_a: tuple
-    steps_from_b: tuple
-
-
-def apply_steps(g: WeightedDigraph, c, steps, include_sink_relations=True) -> tuple:
-    """Replay a firing sequence; used to verify common reducts."""
-    c = _check_config(g, c)
-    for v in steps:
-        nxt = _fire_once(g, c, v, include_sink_relations)
-        if nxt is None:
-            kind = "firing" if g.out_edge_ids[v] else "sink firing"
-            raise errors.VertexStable(f"cannot replay {kind} of {g.names[v]!r}")
-        c = nxt
-    return c
-
-
-def _closure_search(g, a, b, budget, include_sink_relations):
-    """Level-by-level forward closures from a and b, intersected.
-
-    Returns (CommonReduct or None, status) with status one of ``found``,
-    ``disjoint`` (both closures fully enumerated, no intersection) and
-    ``budget``.
-    """
-    parents = ({a: None}, {b: None})
-    frontiers = ([a], [b])
-
-    def intersection():
-        small, large = sorted(parents, key=len)
-        hits = [c for c in small if c in large]
-        return min(hits, key=lambda c: (sum(c), c)) if hits else None
-
-    def path(side, c):
-        steps = []
-        while parents[side][c] is not None:
-            prev, v = parents[side][c]
-            steps.append(v)
-            c = prev
-        return tuple(reversed(steps))
-
-    hit = intersection()
-    remaining = budget
-    exhausted = False
-    while hit is None and not exhausted and (frontiers[0] or frontiers[1]):
-        for side in (0, 1):
-            frontier = frontiers[side]
-            seen = parents[side]
-            nxt = []
-            for c in frontier:
-                if exhausted:
-                    break
-                for v, succ in _successor_moves(g, include_sink_relations, c):
-                    if remaining <= 0:
-                        exhausted = True
-                        break
-                    remaining -= 1
-                    if succ not in seen:
-                        seen[succ] = (c, v)
-                        nxt.append(succ)
-            frontiers[side][:] = nxt
-            hit = intersection()
-            if hit is not None:
-                break
-    if hit is not None:
-        return CommonReduct(hit, path(0, hit), path(1, hit)), "found"
-    if not exhausted and not frontiers[0] and not frontiers[1]:
-        return None, "disjoint"
-    return None, "budget"
-
-
-def common_reduct(g: WeightedDigraph, a, b, budget: int = DEFAULT_STEP_BUDGET,
-                  include_sink_relations: bool = True):
-    """Search for a configuration both a and b fire down to.
-
-    On sandpile graphs the answer is exact: the common reduct is the shared
-    stable form (with the sink fired down to zero when sink relations are
-    on), or None when the stable forms differ.  Elsewhere a level-by-level
-    search runs under the step budget; None is then not a proof that a and b
-    are incongruent.
-
-    Returns a CommonReduct whose step lists replay from a and b.
-    """
-    a = _check_config(g, a)
-    b = _check_config(g, b)
-    if isinstance(g, SandpileGraph):
-        traces = [stabilize(g, c, sink_absorbing=False, record=True) for c in (a, b)]
-        steps = []
-        results = []
-        for trace in traces:
-            fired = list(trace.fired)
-            result = trace.result
-            if include_sink_relations:
-                fired.extend([g.sink] * result[g.sink])
-                result = tuple(
-                    0 if v == g.sink else k for v, k in enumerate(result)
-                )
-            steps.append(tuple(fired))
-            results.append(result)
-        if results[0] != results[1]:
-            return None
-        return CommonReduct(results[0], steps[0], steps[1])
-    result, _ = _closure_search(g, a, b, budget, include_sink_relations)
-    return result
-
-
-def equivalent(g: WeightedDigraph, a, b, budget: int = DEFAULT_STEP_BUDGET,
-               include_sink_relations: bool = True):
-    """Decide congruence of two configurations.
-
-    Sandpile graphs are decided exactly by comparing stable forms.  Other
-    vertex weighted graphs are decided exactly through the completed firing
-    rules whenever completion fits its budget; otherwise a breadth-first
-    common-reduct search answers True, False (both closures finite, fully
-    enumerated and disjoint) or None for undecided.
+    Sandpile graphs compare stable forms.  Other vertex weighted graphs
+    compare normal forms of the completed firing rules; a completion past
+    ``MAX_RULES`` raises Inconclusive, which is not a verdict either way.
     """
     a = _check_config(g, a)
     b = _check_config(g, b)
@@ -419,16 +282,11 @@ def equivalent(g: WeightedDigraph, a, b, budget: int = DEFAULT_STEP_BUDGET,
         )
     try:
         rs = reduction_system(g, include_sink_relations)
-    except CompletionOverflow:
-        rs = None
-    if rs is not None:
-        return rs.normal_form(a) == rs.normal_form(b)
-    result, status = _closure_search(g, a, b, budget, include_sink_relations)
-    if status == "found":
-        return True
-    if status == "disjoint":
-        return False
-    return None
+    except CompletionOverflow as exc:
+        raise errors.Inconclusive(
+            f"rule completion exceeded its budget ({exc})"
+        ) from None
+    return rs.normal_form(a) == rs.normal_form(b)
 
 
 # ------------------------------------------------------- completed presentations

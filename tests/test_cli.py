@@ -245,6 +245,41 @@ def test_cap_below_one_is_bad_parameters(capsys, command, cap):
     assert err == f"error[BadParameters]: cap must be >= 1, got {cap}\n"
 
 
+def over_cap_files(tmp_path):
+    """A 3-vertex graph that is not a union of cycles (18^3 = 5832
+    elements) and a one-vertex graph of prime order 4099, both past the
+    default cap of 4096."""
+    edges = []
+    for v, nxt in (("x", "y"), ("y", "z"), ("z", "s")):
+        edges += [(v, v, 1)] * 2 + [(v, nxt, 1)] + [(v, "s", 1)] * 15
+    three = SandpileGraph(["x", "y", "z", "s"], edges, "s")
+    prime = SandpileGraph(["x", "s"], [("x", "x", 1)] + [("x", "s", 1)] * 4098, "s")
+    paths = []
+    for name, g in (("three", three), ("prime", prime)):
+        path = tmp_path / f"{name}.sg"
+        path.write_text(graph_to_text(g), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def test_only_monoid_names_the_cap_flag(capsys, tmp_path):
+    three, prime = over_cap_files(tmp_path)
+    rc, out, err = run(capsys, "monoid", three)
+    assert (rc, out) == (1, "")
+    assert err == ("error[SizeOverBudget]: sandpile monoid has 5832 elements,"
+                   " cap is 4096 (raise it with --cap)\n")
+    # classify, realize and prime have no --cap flag, so they do not name it
+    for command, path, size in (("classify", three, 5832), ("realize", three, 5832),
+                                ("prime", prime, 4099)):
+        rc, out, err = run(capsys, command, path)
+        assert (rc, out) == (1, "")
+        assert err == (f"error[SizeOverBudget]: sandpile monoid has {size} elements,"
+                       " cap is 4096\n")
+    with pytest.raises(SystemExit) as info:
+        main(["classify", three, "--cap", "20000"])
+    assert info.value.code == 2
+
+
 def test_k0_reports(capsys):
     rc, payload, _ = run_json(capsys, "k0", graph_path("rose_1_4.sg"))
     assert rc == 0

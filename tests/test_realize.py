@@ -397,6 +397,20 @@ def test_prime_order_case_composite_and_unreduced():
     assert case.kind == "monogenic" and case.size == 3 and case.loops == 2
 
 
+def test_prime_order_case_meets_the_cap_before_building_a_model(monkeypatch):
+    """Past the cap the enumeration refuses before any step, and no p x p
+    model table is built first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("model built past the cap")
+
+    monkeypatch.setattr(realize, "cyclic_group_monoid", refuse)
+    monkeypatch.setattr(realize, "monogenic_monoid", refuse)
+    for g in (zp_graph(4099), loop_sink_graph(1, 4098)):
+        with pytest.raises(errors.SizeOverBudget,
+                           match=r"^sandpile monoid has 4099 elements, cap is 4096$"):
+            prime_order_case(g)
+
+
 def test_cycle_suite_weights_221():
     report = cycle_suite([2, 2, 1])
     assert report.ok

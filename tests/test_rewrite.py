@@ -17,10 +17,7 @@ from sandmon.rewrite import (
     CompletionOverflow,
     ReductionSystem,
     StabilizationTrace,
-    _closure_search,
     _stable_form,
-    apply_steps,
-    common_reduct,
     config_from_counts,
     config_to_str,
     equivalent,
@@ -204,35 +201,19 @@ def test_topple_once_examples():
     assert str(info.value) == "'s' is a sink"
 
 
-@pytest.mark.parametrize("c, steps, include_sink_relations, message", [
-    ((4, 0), [0], True, "cannot replay firing of 'x'"),
-    ((0, 0), [1], True, "cannot replay sink firing of 's'"),
-    ((0, 1), [1], False, "cannot replay sink firing of 's'"),
-])
-def test_apply_steps_refuses_a_step_that_cannot_fire(c, steps, include_sink_relations,
-                                                    message):
-    with pytest.raises(errors.VertexStable) as info:
-        apply_steps(G23, c, steps, include_sink_relations)
-    assert str(info.value) == message
-
-
-def reference_successors(g, c, sink_rule):
-    """One-step firings from c, written out from the definition."""
-    moves = []
+def reference_successors(g, c):
+    """One-step firings of the regular vertices from c, written out from
+    the definition: a dict of vertex to successor."""
+    moves = {}
     for v in range(g.n_vertices):
-        nxt = list(c)
-        if g.out_edge_ids[v]:
-            if c[v] < g.weight(v):
-                continue
-            nxt[v] -= g.weight(v)
-            for s, r, _ in g.edges:
-                if s == v:
-                    nxt[r] += 1
-        elif sink_rule and c[v] >= 1:
-            nxt[v] -= 1
-        else:
+        if not g.out_edge_ids[v] or c[v] < g.weight(v):
             continue
-        moves.append((v, tuple(nxt)))
+        nxt = list(c)
+        nxt[v] -= g.weight(v)
+        for s, r, _ in g.edges:
+            if s == v:
+                nxt[r] += 1
+        moves[v] = tuple(nxt)
     return moves
 
 
@@ -244,13 +225,13 @@ def test_one_step_firings_match_the_definition():
     for g in graphs:
         for _ in range(20):
             c = tuple(rng.randrange(0, 6) for _ in range(g.n_vertices))
-            for sink_rule in (False, True):
-                moves = rewrite._successor_moves(g, sink_rule, c)
-                assert moves == reference_successors(g, c, sink_rule)
-                for v, nxt in moves:
-                    assert apply_steps(g, c, [v], sink_rule) == nxt
-                    if g.out_edge_ids[v]:
-                        assert topple_once(g, c, v) == nxt
+            moves = reference_successors(g, c)
+            for v in range(g.n_vertices):
+                if v in moves:
+                    assert topple_once(g, c, v) == moves[v]
+                elif g.out_edge_ids[v]:
+                    with pytest.raises(errors.VertexStable):
+                        topple_once(g, c, v)
 
 
 def test_topple_conserves_grains_on_balanced_graphs():
@@ -426,54 +407,6 @@ def test_abelianness_sample():
                 odometer[v] += 1
             assert tuple(counts) == reference.result
             assert tuple(odometer) == reference.odometer
-
-
-def test_common_reduct_identity():
-    c = (2, 0)
-    found = common_reduct(G23, c, c)
-    assert found.config == c
-    assert found.steps_from_a == () and found.steps_from_b == ()
-
-
-def test_common_reduct_one_step():
-    g = diverging_graph()
-    a = (2, 0)
-    b = (1, 2)  # one firing of u away from a
-    found = common_reduct(g, a, b, budget=100)
-    assert found is not None
-    assert apply_steps(g, a, found.steps_from_a) == found.config
-    assert apply_steps(g, b, found.steps_from_b) == found.config
-
-
-def test_common_reduct_sandpile_case():
-    a = (5, 0)
-    b = (2, 1)
-    found = common_reduct(G23, a, b)
-    assert found is not None
-    # the shared reduct is the absorbed stable form
-    assert found.config == stabilize(G23, a).result
-    assert apply_steps(G23, a, found.steps_from_a) == found.config
-    assert apply_steps(G23, b, found.steps_from_b) == found.config
-
-
-def test_closure_search_statuses():
-    # same shape as the validated loop-sink graph but left unvalidated, so the
-    # generic search machinery is exercised directly
-    g = WeightedDigraph(
-        ["x", "s"],
-        [("x", "x", 5), ("x", "x", 5), ("x", "s", 5), ("x", "s", 5), ("x", "s", 5)],
-    )
-    _, status = _closure_search(g, (1, 0), (2, 0), budget=1000,
-                                include_sink_relations=True)
-    assert status == "disjoint"
-    found, status = _closure_search(g, (5, 0), (2, 1), budget=1000,
-                                    include_sink_relations=True)
-    assert status == "found"
-    assert apply_steps(g, (5, 0), found.steps_from_a) == found.config
-    assert apply_steps(g, (2, 1), found.steps_from_b) == found.config
-    _, status = _closure_search(diverging_graph(), (2, 0), (1, 0), budget=30,
-                                include_sink_relations=True)
-    assert status == "budget"
 
 
 def test_equivalent_examples():
@@ -711,17 +644,43 @@ def test_completion_and_normal_forms_match_the_reference():
                 assert rs.add_generator(nf, v) == reduce(plus)
 
 
-def test_equivalent_falls_back_to_the_search_when_completion_overflows(monkeypatch):
+def test_equivalent_is_inconclusive_when_completion_overflows(monkeypatch):
+    g = diverging_graph()
+    assert equivalent(g, (2, 0), (1, 0)) is False
+    monkeypatch.setattr(rewrite, "MAX_RULES", 1)
+    with pytest.raises(errors.Inconclusive,
+                       match=r"rule completion exceeded its budget \(more than 1 rules\)"):
+        equivalent(g, (2, 0), (1, 0))
+
+
+def test_equivalent_without_sink_relations():
+    """Sink grains count: sandpile graphs compare stable forms that keep
+    them, other graphs compare normal forms of the rules without a sink
+    rule."""
+    assert equivalent(G23, (5, 0), (2, 0)) is True
+    assert equivalent(G23, (5, 0), (2, 0), include_sink_relations=False) is False
+    assert equivalent(G23, (5, 0), (2, 3), include_sink_relations=False) is True
+    rng = random.Random(41)
+    for g in random_sandpile_corpus(count=20, seed=17) + [G23, T]:
+        for _ in range(10):
+            a, b = (tuple(rng.randrange(0, 6) for _ in range(g.n_vertices))
+                    for _ in range(2))
+            b = a if rng.random() < 0.3 else b
+            assert equivalent(g, a, b, include_sink_relations=False) is (
+                _stable_form(g, a, sink_absorbing=False)
+                == _stable_form(g, b, sink_absorbing=False)
+            )
     loop_sink = WeightedDigraph(
         ["x", "s"],
         [("x", "x", 5), ("x", "x", 5), ("x", "s", 5), ("x", "s", 5), ("x", "s", 5)],
     )
-    g = diverging_graph()
-    # the completed rules decide what the budgeted search cannot
-    assert equivalent(g, (2, 0), (1, 0), budget=30) is False
-    monkeypatch.setattr(rewrite, "MAX_RULES", 1)
-    with pytest.raises(CompletionOverflow):
-        rewrite.reduction_system(g, True)
-    assert equivalent(g, (2, 0), (1, 0), budget=30) is None
-    assert equivalent(loop_sink, (1, 0), (2, 0), budget=1000) is False
-    assert equivalent(loop_sink, (5, 0), (2, 1), budget=1000) is True
+    assert equivalent(loop_sink, (0, 1), (0, 0)) is True
+    assert equivalent(loop_sink, (0, 1), (0, 0), include_sink_relations=False) is False
+    for g in (diverging_graph(), loop_sink):
+        nf = reduction_system(g, False).normal_form
+        for a in range(4):
+            for b in range(4):
+                for pair in (((a, b), (b, a)), ((a, b), (a + 2, b))):
+                    assert equivalent(g, *pair, include_sink_relations=False) is (
+                        nf(pair[0]) == nf(pair[1])
+                    )
