@@ -207,14 +207,20 @@ def _smaller_split(decomps, a: int, b: int):
 
 
 def is_refinement(M: FiniteCommMonoid):
-    """Exhaustive refinement check.  Returns (True, None) or
+    """Exact refinement check.  Returns (True, None) or
     (False, (a, b, c, d)) with a witnessing equation: the first equation
     with no refinement when the sums c + d, then the pairs of
     ``_decomps(M)[c + d]``, are taken in index order.
 
-    It suffices that every x + y = c + d with x in a generating set X
-    refines.  By induction on the length of a1 as a sum of generators:
-    write a1 = x + a1', refine x + (a1' + a2) = b1 + b2 into x = p + q,
+    A direct sum of cyclic monoids, as ``classify_cyclic_sum`` certifies it
+    on the table, refines with no search: C_n is {0} with a cyclic group G,
+    an equation a + b = c + d in G refines as [[c, a - c], [0, b]], one
+    with a term 0 refines trivially, and refinement passes to direct sums.
+
+    Any other monoid is searched.  It suffices that every x + y = c + d
+    with x in a generating set X refines.  By induction on the length of
+    a1 as a sum of generators: write a1 = x + a1', refine
+    x + (a1' + a2) = b1 + b2 into x = p + q,
     a1' + a2 = r + s, b1 = p + r, b2 = q + s, and refine a1' + a2 = r + s
     into t11, t12, t21, t22; then [[p + t11, q + t12], [t21, t22]] refines
     a1 + a2 = b1 + b2.  Those equations are checked in order of their sum.
@@ -222,6 +228,8 @@ def is_refinement(M: FiniteCommMonoid):
     witness, and only up to that sum, where the failing equation itself
     lies (up to swapping sides).
     """
+    if classify_cyclic_sum(M) is not None:
+        return True, None
     add, sol, decomps = M.add, _solutions(M), _decomps(M)
     gens = _generating_set(M)
     for t, pairs in enumerate(decomps):
@@ -627,7 +635,17 @@ def direct_sum_of_cyclic(orders) -> FiniteCommMonoid:
 def classify_cyclic_sum(M: FiniteCommMonoid):
     """If M is isomorphic to a direct sum of cyclic monoids C_{n_i} with all
     n_i >= 2, return the sorted list of orders; otherwise None.  The trivial
-    monoid returns the empty list.
+    monoid returns the empty list.  Cached on M; the caller gets a fresh
+    list.  A list is the certificate on which ``is_refinement`` returns
+    True with no search."""
+    if "cyclic_sum" not in M._cache:
+        M._cache["cyclic_sum"] = _cyclic_sum_orders(M)
+    cached = M._cache["cyclic_sum"]
+    return None if cached is None else list(cached)
+
+
+def _cyclic_sum_orders(M: FiniteCommMonoid):
+    """The uncached ``classify_cyclic_sum``.
 
     The summands are read off the structure.  In a sum of C_{n_i} the
     minimal nonzero idempotents e_i are the identities of the summands'

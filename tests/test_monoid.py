@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sandmon import errors, monoid, rewrite
+from sandmon import cli, errors, monoid, rewrite
 from sandmon.graph import (
     WeightedDigraph,
     cycle_companion_sandpile,
@@ -935,8 +935,8 @@ def test_refinement_matches_reference_on_generated_graphs(g):
     assert is_refinement(M) == reference_is_refinement(M)
 
 
-def test_refinement_searches_only_generator_equations(monkeypatch):
-    M = enumerate_sandpile_monoid(two_cycle_unions()[0])
+def count_refine_calls(monkeypatch):
+    """The argument tuples of every ``_refine`` call from now on."""
     searches = []
     real = monoid._refine
 
@@ -945,14 +945,63 @@ def test_refinement_searches_only_generator_equations(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(monoid, "_refine", counted)
+    return searches
+
+
+def test_refinement_searches_only_generator_equations(monkeypatch):
+    # a refinement monoid that is not a direct sum of cyclic monoids, so
+    # the verdict comes from the search
+    M = direct_sum(cyclic_group_monoid(2), cyclic_monoid(4))
+    assert classify_cyclic_sum(M) is None
+    searches = count_refine_calls(monkeypatch)
     assert is_refinement(M) == (True, None)
     decomps = monoid._decomps(M)
-    # one generator of each cyclic summand, not the six vertices
+    # one generator of each summand: x of C_4, then x of Z/2
     gens = monoid._generating_set(M)
-    assert gens == [M.generators["c1v3"], M.generators["c0v3"]]
-    # one search per equation x + a = c + d: 18,048 of the 316,096 equations
-    assert len(searches) == sum(len(decomps[t]) for x in gens for t in M.add[x]) == 18048
-    assert sum(len(p) * (len(p) + 1) // 2 for p in decomps) == 316096
+    assert gens == [1, 4]
+    # one search per equation x + a = c + d: 80 of the 112 equations
+    assert len(searches) == sum(len(decomps[t]) for x in gens for t in M.add[x]) == 80
+    assert sum(len(p) * (len(p) + 1) // 2 for p in decomps) == 112
+
+
+def test_refinement_of_a_cyclic_sum_is_read_off_the_certificate(monkeypatch):
+    searches = count_refine_calls(monkeypatch)
+    for g in two_cycle_unions():
+        M = enumerate_sandpile_monoid(g)
+        assert is_refinement(M) == (True, None)
+        assert classify_cyclic_sum(M) == [8, 16]
+        assert "decomps" not in M._cache and "solutions" not in M._cache
+    assert searches == []
+
+
+def test_classify_cyclic_sum_is_cached_as_copies(monkeypatch):
+    calls = []
+    real = monoid._cyclic_sum_orders
+
+    def counted(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(monoid, "_cyclic_sum_orders", counted)
+    M = direct_sum_of_cyclic([2, 3])
+    first = classify_cyclic_sum(M)
+    assert first == [2, 3]
+    first.append(99)
+    assert classify_cyclic_sum(M) == [2, 3]
+    assert classify_cyclic_sum(M) is not classify_cyclic_sum(M)
+    assert M._cache["cyclic_sum"] == [2, 3]
+    # a None verdict is cached too
+    F = monogenic_monoid(2, 3)
+    assert classify_cyclic_sum(F) is None and classify_cyclic_sum(F) is None
+    assert calls == [M, F]
+    # one report on a cycle union computes the orders once, for both its
+    # refinement verdict and its cyclic_sum field
+    calls.clear()
+    U = enumerate_sandpile_monoid(two_cycle_unions()[1])
+    payload = cli._monoid_payload(U)
+    assert payload["refinement"] is True and payload["cyclic_sum"] == [8, 16]
+    assert calls == [U]
+    assert reference_classify_cyclic_sum(U) == [8, 16]
 
 
 def test_refine_equation_returns_a_refinement_exactly_when_one_exists():
