@@ -17,6 +17,7 @@ from pathlib import Path
 from . import errors, ktheory, monoid, realize, rewrite
 from .graph import (
     SandpileGraph,
+    _decimal,
     graph_to_dot,
     parse_graph,
     reduce_graph,
@@ -395,10 +396,9 @@ def cmd_prime(args) -> int:
 
 
 def cmd_cycle_suite(args) -> int:
-    try:
-        weights = [int(w) for w in args.weights.split(",") if w.strip()]
-    except ValueError:
-        raise errors.BadParameters(f"bad weights list {args.weights!r}") from None
+    weights = [_decimal(w.strip()) for w in args.weights.split(",") if w.strip()]
+    if None in weights:
+        raise errors.BadParameters(f"bad weights list {args.weights!r}")
     report = realize.cycle_suite(weights)
     payload = {"report": "cycle-suite", **report.to_json()}
     _emit(args, payload, lambda: [

@@ -25,6 +25,14 @@ def _integer(value, error, what: str) -> int:
         raise error(f"{what} must be an integer, got {value!r}") from None
 
 
+def _decimal(text: str, signed: bool = True) -> int | None:
+    """``text`` as an int when it is ASCII digits, after one ``-`` if
+    ``signed``; else None.  int() also takes "3_0", "+3", "\u0663" and
+    surrounding blanks."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    return int(text) if digits.isascii() and digits.isdigit() else None
+
+
 class WeightedDigraph:
     """Immutable directed multigraph with weighted edges.
 
@@ -524,10 +532,9 @@ def parse_graph(text: str):
                 if weight is None:
                     if not token.startswith("w="):
                         raise errors.GraphFormatError(f"line {lineno}: expected w=<int>")
-                    digits = token[2:]  # int() also takes "3_0", "+3", "\u0663"
-                    if not (digits.isascii() and digits.isdigit()):
+                    weight = _decimal(token[2:], signed=False)
+                    if weight is None:
                         raise errors.GraphFormatError(f"line {lineno}: bad weight")
-                    weight = int(digits)
                     if weight < 1:
                         raise errors.GraphFormatError(f"line {lineno}: weight must be >= 1")
                     weight_of[token] = weight

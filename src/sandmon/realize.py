@@ -26,21 +26,18 @@ from .graph import (
 from .ktheory import _divisibility_chain, cokernel, k0_matrix, reduced_laplacian
 from .monoid import (
     AbelianGroupInvariants,
-    _induced_map,
     _prime_factors,
     abelian_invariants,
-    classify_cyclic_sum,
-    cyclic_group_monoid,
     enumerate_sandpile_monoid,
     enumerate_weighted_monoid,
     group_completion,
     is_refinement,
-    monogenic_monoid,
     monoid_isomorphic,
     quotient_by_submonoid,
     smallest_ideal,
     units,
 )
+from .rewrite import format_element, stabilize
 
 
 def conicality_report(g: SandpileGraph):
@@ -251,12 +248,12 @@ class PrimeCase:
 
 
 def prime_order_case(g: SandpileGraph) -> PrimeCase:
-    """Classify sandpile monoids of prime order: with a single non-sink
-    vertex x of out-degree p, either every edge hits the sink (the monoid is
-    the cyclic group of order p, not conical) or x keeps some loops (the
-    monoid is monogenic with index the loop count).  Each verdict is
-    certified by the map that sends the model's generator to x; a table
-    that the map does not cover raises CertificateFailed."""
+    """Classify sandpile monoids of prime order p.  The reduced graph has a
+    single non-sink vertex x of out-degree p, and with l loops at x its only
+    relation is p x = l x: the cyclic group of order p when every edge hits
+    the sink (l = 0, not conical), else the monogenic monoid of index l and
+    period p - l.  Nothing is enumerated, whatever p is: stabilising p x
+    once must give l x, else CertificateFailed, also under ``python -O``."""
     g = reduce_graph(g)
     size = prod(g.out_degree(v) for v in g.non_sink_vertices())
     if _prime_factors(size) != [size]:
@@ -265,21 +262,17 @@ def prime_order_case(g: SandpileGraph) -> PrimeCase:
     # a reduced graph has none of out-degree one
     (x,) = g.non_sink_vertices()
     loops = sum(1 for t in g.out_targets[x] if t == x)
-    sink_edges = g.out_degree(x) - loops
-    # the enumeration meets its cap before any step: build no model past it
-    sp = enumerate_sandpile_monoid(g)
-    if loops == 0:
-        case = PrimeCase("cyclic_group", size, loops=0, sink_edges=size)
-        model = cyclic_group_monoid(size)
-    else:
-        case = PrimeCase("monogenic", size, loops=loops, sink_edges=sink_edges)
-        model = monogenic_monoid(loops, sink_edges)
-    phi = _induced_map(model, sp, [(model.generators["x"], sp.generators[g.names[x]])])
-    if phi is None or not len(phi) == len(model) == len(sp):
+    fired, kept = [0] * g.n_vertices, [0] * g.n_vertices
+    fired[x], kept[x] = size, loops
+    result = stabilize(g, fired).result
+    if result != tuple(kept):
         raise errors.CertificateFailed(
-            f"the sandpile monoid of order {size} is not the {case.kind} model"
+            f"{format_element(g.names, fired)} stabilises to"
+            f" {format_element(g.names, result)}, not {format_element(g.names, kept)}"
         )
-    return case
+    if loops == 0:
+        return PrimeCase("cyclic_group", size, loops=0, sink_edges=size)
+    return PrimeCase("monogenic", size, loops=loops, sink_edges=size - loops)
 
 
 # ----------------------------------------------------------------- cycle suite
@@ -307,33 +300,29 @@ class CycleSuiteReport:
 
 
 def cycle_suite(weights) -> CycleSuiteReport:
-    """Build the weighted cycle, its unweighted companion (weights expanded
-    to parallel edges, all edges reversed) and the sandpile companion, and
-    verify that ``classify_cyclic_sum`` finds each of the three monoids to be
-    the cyclic monoid of order equal to the product of the weights."""
+    """Certify that the weighted cycle, its unweighted companion (weights
+    expanded to parallel edges, all edges reversed) and the sandpile
+    companion each give the cyclic monoid C_n, n the product of the weights.
+
+    Tietze moves reduce each presentation to n v_1 = v_1, so every size is
+    n and nothing is enumerated.  The sandpile companion is a single cycle
+    for ``refinement_structure``, which checks the reduced Laplacian and
+    must find the orders [n]; the other two are C_n exactly when the
+    cokernel of their k0 matrix is Z/(n - 1), the group of C_n."""
     E = weighted_cycle_graph(weights)
     F = cycle_companion_unweighted(weights)
     G = cycle_companion_sandpile(weights)
     order = prod(int(w) for w in weights)
-    m_cycle = enumerate_weighted_monoid(E, sink_relations=False)
-    m_companion = enumerate_weighted_monoid(F, sink_relations=False)
-    m_sandpile = enumerate_sandpile_monoid(G)
-    sizes = {
-        "weighted_cycle": len(m_cycle),
-        "unweighted_companion": len(m_companion),
-        "sandpile_companion": len(m_sandpile),
-    }
+    group = AbelianGroupInvariants(tuple(_divisibility_chain([order - 1])))
+    structure, _ = refinement_structure(reduce_graph(G))
     isomorphic = {
-        key: classify_cyclic_sum(m) == [order]
-        for key, m in [
-            ("weighted_cycle", m_cycle),
-            ("unweighted_companion", m_companion),
-            ("sandpile_companion", m_sandpile),
-        ]
+        "weighted_cycle": cokernel(k0_matrix(E)) == group,
+        "unweighted_companion": cokernel(k0_matrix(F)) == group,
+        "sandpile_companion": structure is not None and structure.orders == [order],
     }
     return CycleSuiteReport(
         weights=[int(w) for w in weights], order=order,
-        sizes=sizes, isomorphic=isomorphic,
+        sizes=dict.fromkeys(isomorphic, order), isomorphic=isomorphic,
     )
 
 

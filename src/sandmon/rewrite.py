@@ -20,7 +20,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import errors
-from .graph import SandpileGraph, WeightedDigraph, shortest_sink_distances
+from .graph import SandpileGraph, WeightedDigraph, _decimal, shortest_sink_distances
 
 DEFAULT_STEP_BUDGET = 100_000
 MAX_RULES = 4000  # a completion with more rules raises CompletionOverflow
@@ -55,10 +55,10 @@ def parse_config(g: WeightedDigraph, text: str) -> tuple:
         if "=" not in chunk:
             raise errors.BadParameters(f"bad configuration entry {chunk!r}")
         name, _, value = chunk.partition("=")
-        try:
-            counts.append((name.strip(), int(value)))
-        except ValueError:
-            raise errors.BadParameters(f"bad count in {chunk!r}") from None
+        count = _decimal(value.strip())
+        if count is None:
+            raise errors.BadParameters(f"bad count in {chunk!r}")
+        counts.append((name.strip(), count))
     return config_from_counts(g, counts)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sandmon import cli, ktheory, monoid, realize, rewrite
 from sandmon.cli import build_parser, main
-from sandmon.graph import SandpileGraph, graph_to_text
+from sandmon.graph import SandpileGraph, graph_to_text, loop_sink_graph
 from sandmon.realize import named_examples, random_sandpile_corpus, realization
 
 SCHEMA = json.loads(
@@ -178,6 +178,37 @@ def test_a_vertex_named_twice_in_a_configuration_is_refused(capsys):
             assert err == "error[BadParameters]: two counts for vertex 'x'\n"
 
 
+LOOSE_INTEGERS = ("1_2", "+12", "\u0661\u0662", "\uff11\uff12", "\u00b2")
+
+
+@pytest.mark.parametrize("count", LOOSE_INTEGERS)
+def test_a_count_int_would_take_loosely_is_refused(capsys, count):
+    """int() takes "1_2", "+12" and non-ASCII digits; a count is ASCII
+    digits after an optional minus sign."""
+    config, weights = f"x={count}", f"{count},1"
+    rc, out, err = run(capsys, "stabilize", graph_path("g_2_3.sg"), "--config", config)
+    assert (rc, out) == (1, "")
+    assert err == f"error[BadParameters]: bad count in {config!r}\n"
+    rc, out, err = run(capsys, "cycle-suite", weights)
+    assert (rc, out) == (1, "")
+    assert err == f"error[BadParameters]: bad weights list {weights!r}\n"
+
+
+def test_negative_counts_and_blanks_read_as_before(capsys):
+    rc, out, err = run(capsys, "stabilize", graph_path("g_2_3.sg"),
+                       "--config", "x=-1")
+    assert (rc, out, err) == (1, "", "error[BadParameters]: negative count for 'x'\n")
+    rc, out, err = run(capsys, "cycle-suite", "2,-1")
+    assert (rc, out) == (1, "")
+    assert err == ("error[BadParameters]: weights must be a nonempty list of"
+                   " positive integers\n")
+    rc, payload, _ = run_json(capsys, "stabilize", graph_path("g_2_3.sg"),
+                              "--config", " x = 12 ")
+    assert (rc, payload["result"]) == (0, "x=3")
+    rc, payload, _ = run_json(capsys, "cycle-suite", " 2, 3 ")
+    assert (rc, payload["weights"]) == (0, [2, 3])
+
+
 def test_stabilize_budget_exhaustion(capsys, tmp_path):
     f = diverging_graph_file(tmp_path)
     rc, _, err = run(capsys, "stabilize", str(f), "--config", "u=2",
@@ -245,35 +276,29 @@ def test_cap_below_one_is_bad_parameters(capsys, command, cap):
     assert err == f"error[BadParameters]: cap must be >= 1, got {cap}\n"
 
 
-def over_cap_files(tmp_path):
+def over_cap_file(tmp_path):
     """A 3-vertex graph that is not a union of cycles (18^3 = 5832
-    elements) and a one-vertex graph of prime order 4099, both past the
-    default cap of 4096."""
+    elements), past the default cap of 4096."""
     edges = []
     for v, nxt in (("x", "y"), ("y", "z"), ("z", "s")):
         edges += [(v, v, 1)] * 2 + [(v, nxt, 1)] + [(v, "s", 1)] * 15
-    three = SandpileGraph(["x", "y", "z", "s"], edges, "s")
-    prime = SandpileGraph(["x", "s"], [("x", "x", 1)] + [("x", "s", 1)] * 4098, "s")
-    paths = []
-    for name, g in (("three", three), ("prime", prime)):
-        path = tmp_path / f"{name}.sg"
-        path.write_text(graph_to_text(g), encoding="utf-8")
-        paths.append(str(path))
-    return paths
+    path = tmp_path / "three.sg"
+    path.write_text(graph_to_text(SandpileGraph(["x", "y", "z", "s"], edges, "s")),
+                    encoding="utf-8")
+    return str(path)
 
 
 def test_only_monoid_names_the_cap_flag(capsys, tmp_path):
-    three, prime = over_cap_files(tmp_path)
+    three = over_cap_file(tmp_path)
     rc, out, err = run(capsys, "monoid", three)
     assert (rc, out) == (1, "")
     assert err == ("error[SizeOverBudget]: sandpile monoid has 5832 elements,"
                    " cap is 4096 (raise it with --cap)\n")
-    # classify, realize and prime have no --cap flag, so they do not name it
-    for command, path, size in (("classify", three, 5832), ("realize", three, 5832),
-                                ("prime", prime, 4099)):
-        rc, out, err = run(capsys, command, path)
+    # classify and realize have no --cap flag, so they do not name it
+    for command in ("classify", "realize"):
+        rc, out, err = run(capsys, command, three)
         assert (rc, out) == (1, "")
-        assert err == (f"error[SizeOverBudget]: sandpile monoid has {size} elements,"
+        assert err == ("error[SizeOverBudget]: sandpile monoid has 5832 elements,"
                        " cap is 4096\n")
     with pytest.raises(SystemExit) as info:
         main(["classify", three, "--cap", "20000"])
@@ -489,7 +514,7 @@ def test_classify_enumerates_the_monoid_once(capsys, monkeypatch, tmp_path):
     assert outcomes.count(True) >= 3 and outcomes.count(False) >= 10
 
 
-def test_prime_report(capsys):
+def test_prime_report(capsys, tmp_path):
     rc, payload, _ = run_json(capsys, "prime", graph_path("prime_z5.sg"))
     assert rc == 0
     assert payload["case"] == "cyclic_group" and payload["size"] == 5
@@ -498,6 +523,14 @@ def test_prime_report(capsys):
     assert rc == 0
     assert payload["case"] == "monogenic"
     assert payload["loops"] == 2 and payload["sink_edges"] == 3
+
+    # past the sandpile cap of 4096: prime has no cap
+    path = tmp_path / "prime_5003.sg"
+    path.write_text(graph_to_text(loop_sink_graph(1, 5002)), encoding="utf-8")
+    rc, payload, _ = run_json(capsys, "prime", str(path))
+    assert rc == 0
+    assert payload == {"report": "prime", "case": "monogenic", "size": 5003,
+                       "loops": 1, "sink_edges": 5002}
 
 
 def test_cycle_suite_report(capsys):
@@ -508,6 +541,12 @@ def test_cycle_suite_report(capsys):
     rc, _, err = run(capsys, "cycle-suite", "1,1")
     assert rc == 1
     assert "error[BadParameters]" in err
+
+    # C_10000, past every enumeration cap: cycle-suite has no cap
+    rc, payload, _ = run_json(capsys, "cycle-suite", "100,100")
+    assert rc == 0
+    assert payload["ok"] is True and payload["order"] == 10000
+    assert set(payload["sizes"].values()) == {10000}
 
 
 def test_export_dot(capsys):

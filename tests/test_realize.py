@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sandmon import errors, monoid, realize
+from sandmon import errors, ktheory, monoid, realize
 from sandmon.cli import main
 from sandmon.graph import (
     WeightedDigraph,
@@ -397,18 +397,24 @@ def test_prime_order_case_composite_and_unreduced():
     assert case.kind == "monogenic" and case.size == 3 and case.loops == 2
 
 
-def test_prime_order_case_meets_the_cap_before_building_a_model(monkeypatch):
-    """Past the cap the enumeration refuses before any step, and no p x p
-    model table is built first."""
+def refuse_tables(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("model built past the cap")
+        raise AssertionError("a monoid table was built")
 
-    monkeypatch.setattr(realize, "cyclic_group_monoid", refuse)
-    monkeypatch.setattr(realize, "monogenic_monoid", refuse)
-    for g in (zp_graph(4099), loop_sink_graph(1, 4098)):
-        with pytest.raises(errors.SizeOverBudget,
-                           match=r"^sandpile monoid has 4099 elements, cap is 4096$"):
-            prime_order_case(g)
+    monkeypatch.setattr(monoid, "_closure_monoid", refuse)
+
+
+def test_prime_order_case_builds_no_table_at_any_p(monkeypatch):
+    """The relation p x = l x is read off the graph and checked by one
+    stabilisation, also past the enumeration cap of 4096."""
+    refuse_tables(monkeypatch)
+    for p in (4099, 5003):
+        case = prime_order_case(zp_graph(p))
+        assert (case.kind, case.size, case.loops, case.sink_edges) == (
+            "cyclic_group", p, 0, p)
+        case = prime_order_case(loop_sink_graph(1, p - 1))
+        assert (case.kind, case.size, case.loops, case.sink_edges) == (
+            "monogenic", p, 1, p - 1)
 
 
 def test_cycle_suite_weights_221():
@@ -430,6 +436,71 @@ def test_cycle_suite_rejects_all_ones():
         cycle_suite([1, 1, 1])
     with pytest.raises(errors.BadParameters):
         cycle_suite([])
+
+
+def test_cycle_suite_builds_no_table(monkeypatch):
+    refuse_tables(monkeypatch)
+    for weights in ([2, 2, 1], [8, 8, 8, 8], [100, 100]):
+        report = cycle_suite(weights)
+        assert report.ok and report.order == prod(weights)
+        assert set(report.sizes.values()) == {prod(weights)}
+
+
+def corrupt_cokernel(monkeypatch, k):
+    """Make the k-th call of ``realize.cokernel`` answer a group that no
+    cycle suite expects; returns the list of calls made."""
+    calls = []
+
+    def cokernel(matrix):
+        calls.append(matrix)
+        if len(calls) - 1 == k:
+            return AbelianGroupInvariants((7,), free_rank=1)
+        return ktheory.cokernel(matrix)
+
+    monkeypatch.setattr(realize, "cokernel", cokernel)
+    return calls
+
+
+def test_each_cycle_suite_cokernel_is_a_check_that_can_fail(monkeypatch, capsys):
+    """On the k0 matrices of the weighted cycle and the unweighted companion
+    a wrong cokernel turns that verdict false and the CLI exits 1; on the
+    sandpile companion's reduced Laplacian the cycle certificate raises
+    CertificateFailed."""
+    calls = corrupt_cokernel(monkeypatch, None)
+    assert cycle_suite([2, 2, 1]).ok
+    falsified = []
+    for k in range(len(calls)):
+        corrupt_cokernel(monkeypatch, k)
+        try:
+            report = cycle_suite([2, 2, 1])
+        except errors.CertificateFailed:
+            falsified.append("laplacian")
+            continue
+        falsified += [key for key, ok in report.isomorphic.items() if not ok]
+        corrupt_cokernel(monkeypatch, k)
+        assert main(["cycle-suite", "2,2,1"]) == 1
+        assert capsys.readouterr().out.endswith("all isomorphic to C4: False\n")
+    assert sorted(falsified) == ["laplacian", "unweighted_companion", "weighted_cycle"]
+
+
+CYCLE_SUITE_CORRUPTION = (
+    "from sandmon import realize\n"
+    "from sandmon.monoid import AbelianGroupInvariants\n"
+    "realize.cokernel = lambda matrix: AbelianGroupInvariants((7,))\n"
+    "realize.refinement_structure = (\n"
+    "    lambda g: (realize.RefinementStructure([['v1', 'v2']], [5]), None))\n"
+    "print(realize.cycle_suite([2, 2, 1]).isomorphic)\n"
+)
+
+
+def test_cycle_suite_verdicts_can_fail_without_asserts():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", CYCLE_SUITE_CORRUPTION], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120,
+    )
+    assert out.stdout == ("{'weighted_cycle': False, 'unweighted_companion': False,"
+                          " 'sandpile_companion': False}\n")
 
 
 def test_prime_conical_iff_loops():
