@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -227,7 +228,7 @@ def cmd_wmonoid(args) -> int:
     except errors.Inconclusive as exc:
         note = None
         try:
-            inv = ktheory.k0_of_weighted_graph(g)
+            inv = ktheory.cokernel(ktheory.k0_matrix(g))
             if inv.free_rank > 0:
                 note = (
                     "advisory: the cokernel invariants have free rank "
@@ -481,6 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cycle-suite", help="three-way cycle monoid comparison")
     p.add_argument("weights", help="comma separated weights, e.g. 2,2,1")
     p.add_argument("--json", action="store_true")
+    # a weight list such as -2,1 is the positional, for cycle_suite to refuse
+    p._negative_number_matcher = re.compile(r"-\d")
 
     p = sub.add_parser("export-dot", help="emit DOT")
     p.add_argument("graph")

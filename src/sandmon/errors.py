@@ -57,14 +57,6 @@ class SinkHasNoTransform(SandmonError):
     pass
 
 
-class VertexStable(SandmonError):
-    pass
-
-
-class SinkCannotTopple(SandmonError):
-    pass
-
-
 class BudgetExhausted(SandmonError):
     """Step budget ran out. Carries the partial trace; says nothing about divergence."""
 

@@ -157,11 +157,6 @@ class WeightedDigraph:
                 return False
         return True
 
-    def is_balanced(self) -> bool:
-        return self.is_vertex_weighted() and all(
-            self.weight(v) == self.out_degree(v) for v in self.regular_vertices()
-        )
-
     def __eq__(self, other):
         if not isinstance(other, WeightedDigraph):
             return NotImplemented
@@ -181,19 +176,21 @@ class WeightedDigraph:
 class SandpileGraph(WeightedDigraph):
     """A sandpile graph: unique sink, reachable from every vertex, with the
     balanced weighting (edge weight = out-degree of the source) imposed on
-    all non-sink vertices.  ``validate_sandpile`` checks the axioms; the
-    constructor only imposes the weighting."""
+    all non-sink vertices.  The constructor checks the axioms as
+    ``validate_sandpile`` does, with ``sink`` as the hint, since
+    stabilisation relies on them to terminate."""
 
     def __init__(self, names, edges, sink):
         super().__init__(names, edges)
         self.edges = _out_degree_weighted(self)
-        self.sink = self._resolve(sink)
+        self.sink = _checked_sink(self, sink)
 
     @classmethod
     def _balanced(cls, g: WeightedDigraph, sink: int) -> SandpileGraph:
         """``g`` with each edge weighted by its source's out-degree and no
         carried weights, sharing g's resolved names and adjacency, and its
-        edges too where they already carry those weights."""
+        edges too where they already carry those weights.  The axioms are
+        not checked."""
         sp = cls.__new__(cls)
         sp.names = g.names
         sp.index = g.index
@@ -240,6 +237,12 @@ def validate_sandpile(g: WeightedDigraph, sink_hint=None) -> SandpileGraph:
     reach it by a directed path, and each edge gets the out-degree of its
     source as weight.  ``sink_hint`` only cross-checks the structural sink.
     """
+    return SandpileGraph._balanced(g, _checked_sink(g, sink_hint))
+
+
+def _checked_sink(g: WeightedDigraph, sink_hint=None) -> int:
+    """The index of g's one vertex of out-degree zero, once every vertex is
+    known to reach it; ``sink_hint``, if given, must name it."""
     sinks = g.sinks()
     if not sinks:
         raise errors.NoSink("graph has no sink (every vertex emits an edge)")
@@ -250,9 +253,8 @@ def validate_sandpile(g: WeightedDigraph, sink_hint=None) -> SandpileGraph:
         raise errors.BadParameters(
             f"sink hint {sink_hint!r} does not match structural sink {g.names[sink]!r}"
         )
-
     _sink_distances(g, sink)
-    return SandpileGraph._balanced(g, sink)
+    return sink
 
 
 def _sink_distances(g: WeightedDigraph, sink: int) -> list[int]:
@@ -392,11 +394,6 @@ def quotient_graph(g: WeightedDigraph, subset) -> WeightedDigraph:
     return WeightedDigraph._from_parts(names, index, tuple(edges), carried)
 
 
-def shortest_sink_distances(g: SandpileGraph) -> list[int]:
-    """BFS distance from each vertex to the sink along directed paths."""
-    return _sink_distances(g, g.sink)
-
-
 def conical_violations(g: SandpileGraph) -> list[int]:
     """Non-sink vertices in the no-cycle set with out-degree other than one.
 
@@ -415,13 +412,6 @@ def loop_sink_graph(n_loops: int, n_sink_edges: int) -> SandpileGraph:
         raise errors.BadParameters("loop and sink edge counts must be >= 1")
     edges = [("x", "x", 1)] * n_loops + [("x", "s", 1)] * n_sink_edges
     return validate_sandpile(WeightedDigraph(["x", "s"], edges))
-
-
-def rose_graph(petals: int, weight: int) -> WeightedDigraph:
-    """One vertex with ``petals`` loops, each of the given weight."""
-    if petals < 1 or weight < 1:
-        raise errors.BadParameters("petal count and weight must be >= 1")
-    return WeightedDigraph(["v"], [("v", "v", weight)] * petals)
 
 
 def _check_cycle_weights(weights) -> list[int]:
@@ -465,34 +455,6 @@ def cycle_companion_sandpile(weights) -> SandpileGraph:
     for i in range(m):
         edges.append((names[i], names[(i + 1) % m], 1))
         edges.extend([(names[i], "s", 1)] * (weights[i] - 1))
-    return validate_sandpile(WeightedDigraph(names, edges))
-
-
-def multi_cycle_sandpile(classes) -> SandpileGraph:
-    """Disjoint cycles sharing one sink; vertex i of a class emits one edge
-    along its cycle and degree-minus-one edges to the sink.
-
-    ``classes`` is a list of out-degree lists, one list per cycle.  Each class
-    needs some out-degree >= 2, otherwise its cycle cannot reach the sink.
-    """
-    if not classes:
-        raise errors.BadParameters("need at least one class")
-    names = []
-    edges = []
-    for ci, degrees in enumerate(classes):
-        degrees = [int(d) for d in degrees]
-        if not degrees or any(d < 1 for d in degrees):
-            raise errors.BadParameters("out-degrees must be positive")
-        if all(d == 1 for d in degrees):
-            raise errors.BadParameters(
-                f"class {ci} has no out-degree >= 2, its cycle cannot drain"
-            )
-        members = [f"c{ci}v{i + 1}" for i in range(len(degrees))]
-        names.extend(members)
-        for i, d in enumerate(degrees):
-            edges.append((members[i], members[(i + 1) % len(members)], 1))
-            edges.extend([(members[i], "s", 1)] * (d - 1))
-    names.append("s")
     return validate_sandpile(WeightedDigraph(names, edges))
 
 
@@ -570,30 +532,21 @@ def parse_graph(text: str):
     return WeightedDigraph._from_parts(tuple(names), index, tuple(edges), {}), sink_hint
 
 
-def graph_to_text(g: WeightedDigraph, sink=None) -> str:
-    lines = [f"vertex {name}" for name in g.names]
-    for s, r, w in g.edges:
-        suffix = f" w={w}" if w != 1 else ""
-        lines.append(f"edge {g.names[s]} {g.names[r]}{suffix}")
-    if sink is None and isinstance(g, SandpileGraph):
-        sink = g.sink
-    if sink is not None:
-        lines.append(f"sink {g.names[g._resolve(sink)]}")
-    return "\n".join(lines) + "\n"
-
-
 def graph_to_dot(g: WeightedDigraph, sink: int | None = None) -> str:
     """DOT export: one arrow per parallel edge, weight labels when above one,
     the sink (an index, by default a sandpile graph's own) drawn with a
-    doubled border."""
+    doubled border.  Vertex names become quoted IDs, with each backslash
+    and double quote escaped by a backslash."""
     if sink is None and isinstance(g, SandpileGraph):
         sink = g.sink
+    ids = ['"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+           for name in g.names]
     lines = ["digraph G {"]
-    for v, vname in enumerate(g.names):
+    for v, vid in enumerate(ids):
         attrs = ' [peripheries=2]' if v == sink else ""
-        lines.append(f'  "{vname}"{attrs};')
+        lines.append(f"  {vid}{attrs};")
     for s, r, w in g.edges:
         label = f' [label="w={w}"]' if w > 1 else ""
-        lines.append(f'  "{g.names[s]}" -> "{g.names[r]}"{label};')
+        lines.append(f"  {ids[s]} -> {ids[r]}{label};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -38,56 +38,6 @@ def _shape(A: Matrix) -> tuple:
     return m, n
 
 
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    rows, inner = _shape(A)
-    _, cols = _shape(B)
-    if len(B) != inner:
-        raise errors.BadParameters(
-            f"cannot multiply a {rows}x{inner} matrix by one with {len(B)} rows"
-        )
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        Ai = A[i]
-        Oi = out[i]
-        for k in range(inner):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                for j in range(cols):
-                    Oi[j] += a * Bk[j]
-    return out
-
-
-def determinant(A: Matrix) -> int:
-    """Bareiss fraction-free determinant (exact)."""
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise errors.BadParameters("the determinant needs a square matrix")
-    if n == 0:
-        return 1
-    M = [list(map(int, row)) for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
-def is_unimodular(A: Matrix) -> bool:
-    return abs(determinant(A)) == 1
-
-
 def matrix_to_lines(A: Matrix) -> list:
     return [" ".join(str(x) for x in row) for row in A]
 
@@ -195,10 +145,6 @@ def smith_normal_form(A: Matrix):
             negate_row(t)
         t += 1
     return U, S, V
-
-
-def snf_diagonal(S: Matrix) -> list:
-    return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
 
 
 def smith_diagonal(A: Matrix) -> list:
@@ -428,10 +374,6 @@ def reduced_laplacian(g: SandpileGraph) -> Matrix:
     return L
 
 
-def k0_of_weighted_graph(g: WeightedDigraph) -> AbelianGroupInvariants:
-    return cokernel(k0_matrix(g))
-
-
 def sandpile_k0_matrix(g: SandpileGraph) -> Matrix:
     """The k0 matrix of the quotient of ``g`` by its no-cycle vertex set,
     whose cokernel is the sandpile group.  Raises NotConical, naming the
@@ -440,10 +382,3 @@ def sandpile_k0_matrix(g: SandpileGraph) -> Matrix:
     if bad:
         raise errors.NotConical([g.names[v] for v in bad])
     return k0_matrix(quotient_graph(g, non_cycle_vertices(g)))
-
-
-def sandpile_group_via_k0(g: SandpileGraph) -> AbelianGroupInvariants:
-    """Invariant factors of the sandpile group computed through the quotient
-    by the no-cycle vertex set and the cokernel of its weight matrix.
-    Requires a conical sandpile graph."""
-    return cokernel(sandpile_k0_matrix(g))

@@ -9,7 +9,6 @@ exhaustive, so a negative answer at this scale is a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from math import prod
 
 from . import errors
@@ -69,31 +68,6 @@ class FiniteCommMonoid:
         return "{" + ", ".join(self.labels) + "}"
 
 
-def verify_monoid(M: FiniteCommMonoid):
-    """Check the table axioms exactly: identity, commutativity and
-    associativity.  Associativity uses Light's test: (x + g) + y equals
-    x + (g + y) for every generator g and all x, y.  The elements b that
-    pass for all x, y are closed under addition, so passing on a generating
-    set means passing everywhere."""
-    n = len(M)
-    add = M.add
-    z = M.zero
-    for x in range(n):
-        if add[z][x] != x or add[x][z] != x:
-            raise ValueError(f"zero fails at element {x}")
-    for a in range(n):
-        for b in range(a + 1, n):
-            if add[a][b] != add[b][a]:
-                raise ValueError(f"not commutative at ({a}, {b})")
-    for g in _generating_set(M):
-        row_g = add[g]
-        for x in range(n):
-            row_xg, row_x = add[add[x][g]], add[x]
-            if row_xg != [row_x[t] for t in row_g]:
-                y = next(y for y in range(n) if row_xg[y] != row_x[row_g[y]])
-                raise ValueError(f"not associative at ({x}, {g}, {y})")
-
-
 # ----------------------------------------------------------------- predicates
 
 
@@ -106,10 +80,6 @@ def units(M: FiniteCommMonoid) -> list:
         z = M.zero
         cached = M._cache["units"] = [a for a, row in enumerate(M.add) if z in row]
     return list(cached)
-
-
-def is_conical(M: FiniteCommMonoid) -> bool:
-    return units(M) == [M.zero]
 
 
 def atoms(M: FiniteCommMonoid) -> list:
@@ -167,21 +137,12 @@ def _solutions(M: FiniteCommMonoid):
     return M._cache["solutions"]
 
 
-def refine_equation(M: FiniteCommMonoid, a: int, b: int, c: int, d: int):
-    """Search a 2x2 refinement of a + b = c + d: elements e1..e4 with
-    a = e1+e2, b = e3+e4, c = e1+e3, d = e2+e4.  Returns the quadruple or
-    None (exhaustive search, so None is a proof)."""
-    if M.add[a][b] != M.add[c][d]:
-        raise errors.BadParameters("sides of the equation differ")
-    return _refine(M.add, _solutions(M), _decomps(M)[a], b, c, d)
-
-
 def _refine(add, sol, splits, b: int, c: int, d: int):
-    """The search of refine_equation for a + b = c + d, where ``splits``
-    lists the unordered decompositions (p, q) of a.  Swapping c and d
-    transposes a refinement, so each split is tried both ways round as
-    (e1, e2) with a = e1 + e2, and the search needs b = e3 + e4 with
-    c = e1 + e3 and d = e2 + e4."""
+    """A 2x2 refinement of a + b = c + d: elements e1..e4 with a = e1+e2,
+    b = e3+e4, c = e1+e3, d = e2+e4, or None (the search is exhaustive, so
+    None is a proof).  ``splits`` lists the unordered decompositions (p, q)
+    of a.  Swapping c and d transposes a refinement, so each split is tried
+    both ways round as (e1, e2)."""
     for p, q in splits:
         for e1, e2 in ((p, q), (q, p)) if p != q else ((p, q),):
             e3s = sol[e1].get(c)
@@ -262,21 +223,6 @@ def _first_witness(add, sol, decomps, gens, last: int):
         "a generator equation has no refinement, but every equation up to"
         " its sum refines"
     )
-
-
-def is_atom_cancellative(M: FiniteCommMonoid):
-    """Check a + m = a + m' forces m = m' for every atom a.  Returns
-    (True, None) or (False, (atom, m, m'))."""
-    n = len(M)
-    for a in atoms(M):
-        seen = {}
-        row = M.add[a]
-        for m in range(n):
-            t = row[m]
-            if t in seen:
-                return False, (a, seen[t], m)
-            seen[t] = m
-    return True, None
 
 
 # -------------------------------------------------------------- group structure
@@ -564,72 +510,6 @@ def monoid_isomorphic(M1: FiniteCommMonoid, M2: FiniteCommMonoid):
         return None
 
     return backtrack([], {M1.zero: M2.zero})
-
-
-# --------------------------------------------------------------- constructions
-
-
-def monogenic_monoid(index: int, period: int) -> FiniteCommMonoid:
-    """One generator x with (index + period) x = index x.
-
-    Index 0 gives the cyclic group of the given order; index 1 gives the
-    sandpile cycle monoid.
-    """
-    if index < 0 or period < 1 or index + period < 1:
-        raise errors.BadParameters("need index >= 0 and period >= 1")
-    n = index + period
-
-    def reduce_exp(s):
-        return s if s < n else index + (s - index) % period
-
-    table = [[reduce_exp(i + j) for j in range(n)] for i in range(n)]
-    labels = ["0"] + ["x"] + [f"{i}x" for i in range(2, n)]
-    labels = labels[:n]
-    return FiniteCommMonoid(
-        add=table, zero=0, labels=labels,
-        generators={"x": 1} if n > 1 else {},
-    )
-
-
-def cyclic_monoid(n: int) -> FiniteCommMonoid:
-    """The monoid {0, x, ..., (n-1)x} with n x = x; conical, refinement."""
-    if n < 2:
-        raise errors.BadParameters("cyclic monoid needs n >= 2")
-    return monogenic_monoid(1, n - 1)
-
-
-def cyclic_group_monoid(n: int) -> FiniteCommMonoid:
-    if n < 1:
-        raise errors.BadParameters("cyclic group needs n >= 1")
-    return monogenic_monoid(0, n)
-
-
-def trivial_monoid() -> FiniteCommMonoid:
-    return monogenic_monoid(0, 1)
-
-
-def direct_sum(M1: FiniteCommMonoid, M2: FiniteCommMonoid) -> FiniteCommMonoid:
-    n1, n2 = len(M1), len(M2)
-
-    def idx(i, j):
-        return i * n2 + j
-
-    table = [
-        [idx(M1.add[i1][j1], M2.add[i2][j2]) for j1 in range(n1) for j2 in range(n2)]
-        for i1 in range(n1) for i2 in range(n2)
-    ]
-    labels = [
-        f"({M1.labels[i]},{M2.labels[j]})" for i in range(n1) for j in range(n2)
-    ]
-    return FiniteCommMonoid(add=table, zero=idx(M1.zero, M2.zero), labels=labels)
-
-
-def direct_sum_of_cyclic(orders) -> FiniteCommMonoid:
-    """The direct sum of cyclic monoids with the given orders (each >= 2)."""
-    orders = list(orders)
-    if not orders:
-        return trivial_monoid()
-    return reduce(direct_sum, (cyclic_monoid(n) for n in orders))
 
 
 def classify_cyclic_sum(M: FiniteCommMonoid):

@@ -1,11 +1,10 @@
 """End-to-end certification: quotient realization of sandpile monoids,
 refinement structure read off the cycle presentation, prime-order
-classification, and the weighted cycle suite, together with the seeded
-graph corpus used by the property tests."""
+classification and the weighted cycle suite, together with the worked
+examples behind ``realize --golden``."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import prod
 
@@ -326,34 +325,7 @@ def cycle_suite(weights) -> CycleSuiteReport:
     )
 
 
-# ---------------------------------------------------------------------- corpus
-
-
-def random_sandpile_corpus(count: int = 220, seed: int = 20260810) -> list:
-    """Deterministic seeded corpus of valid sandpile graphs.
-
-    Every graph has at most 6 non-sink vertices and out-degrees at most 4;
-    graphs whose monoid would exceed 64 elements are rejected so the
-    exhaustive table predicates stay fast.
-    """
-    max_non_sink, max_out_degree, max_monoid_size = 6, 4, 64
-    rng = random.Random(seed)
-    graphs = []
-    while len(graphs) < count:
-        m = rng.randint(1, max_non_sink)
-        degrees = [rng.randint(1, max_out_degree) for _ in range(m)]
-        if prod(degrees) > max_monoid_size:
-            continue
-        names = [f"v{i}" for i in range(m)] + ["s"]
-        edges = []
-        for i in range(m):
-            for _ in range(degrees[i]):
-                edges.append((names[i], names[rng.randrange(m + 1)], 1))
-        try:
-            graphs.append(validate_sandpile(WeightedDigraph(names, edges)))
-        except errors.SandmonError:
-            continue
-    return graphs
+# -------------------------------------------------------------------- examples
 
 
 def make_t_graph() -> SandpileGraph:

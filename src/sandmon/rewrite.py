@@ -5,8 +5,7 @@ Firing a vertex v holding at least weight(v) grains removes weight(v) grains
 from v and adds one grain at the target of each outgoing edge (loops return
 grains to v in the same step).  Sinks may additionally fire away single
 grains when sink relations are switched on; that is the congruence used by
-graph monoids, while the potential certificate and plain stabilisation work
-with sink grains retained.
+graph monoids, while stabilisation can retain sink grains or absorb them.
 
 Deciding whether two configurations are congruent is done in two exact
 layers: stable-form comparison on sandpile graphs, and normal forms of a
@@ -20,7 +19,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import errors
-from .graph import SandpileGraph, WeightedDigraph, _decimal, shortest_sink_distances
+from .graph import SandpileGraph, WeightedDigraph, _decimal
 
 DEFAULT_STEP_BUDGET = 100_000
 MAX_RULES = 4000  # a completion with more rules raises CompletionOverflow
@@ -103,37 +102,14 @@ def r_transform(g: WeightedDigraph, v) -> tuple:
 
 
 def _firing_rules(g: WeightedDigraph) -> tuple:
-    """(by_vertex, sweep), cached on the (immutable) graph: by_vertex[v] is
-    (weight, targets) for a regular v and None for a sink, and sweep lists
-    (v, weight, targets) for the regular vertices in index order."""
+    """(v, weight, targets) for the regular vertices in index order, cached
+    on the (immutable) graph."""
     rules = g.__dict__.get("_firing_rules")
     if rules is None:
-        by_vertex = tuple(
-            (g.weight(v), g.out_targets[v]) if g.out_edge_ids[v] else None
-            for v in range(g.n_vertices)
+        rules = g._firing_rules = tuple(
+            (v, g.weight(v), g.out_targets[v]) for v in g.regular_vertices()
         )
-        sweep = tuple((v, *r) for v, r in enumerate(by_vertex) if r is not None)
-        rules = g._firing_rules = (by_vertex, sweep)
     return rules
-
-
-def topple_once(g: WeightedDigraph, c, v) -> tuple:
-    """Fire the regular vertex v once: remove weight(v) grains, deliver one
-    along each outgoing edge.  Sink grains are retained."""
-    c = _check_config(g, c)
-    v = g._resolve(v)
-    if not g.out_edge_ids[v]:
-        raise errors.SinkCannotTopple(f"{g.names[v]!r} is a sink")
-    w, targets = _firing_rules(g)[0][v]
-    if c[v] < w:
-        raise errors.VertexStable(
-            f"{g.names[v]!r} holds {c[v]} grains, needs {w} to fire"
-        )
-    out = list(c)
-    out[v] -= w
-    for t in targets:
-        out[t] += 1
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -141,7 +117,6 @@ class StabilizationTrace:
     result: tuple
     odometer: tuple
     steps: int
-    fired: tuple | None = None
 
     def to_json(self, g: WeightedDigraph) -> dict:
         return {
@@ -153,19 +128,17 @@ class StabilizationTrace:
         }
 
 
-def _fire(g: WeightedDigraph, counts: list, odometer=None, fired=None,
-          budget=None):
+def _fire(g: WeightedDigraph, counts: list, odometer=None, budget=None):
     """The firing kernel: topple ``counts`` (a list) in place until no
     regular vertex holds its weight; returns (steps, exhausted).
 
     Each sweep visits the regular vertices in index order and fires an
     unstable v k = counts[v] // weight(v) times at once; sweeps repeat until
-    one fires nothing.  Sinks never fire.  ``odometer`` gains k at v;
-    ``fired`` gains k copies of v, which replay one at a time since v held
-    k * weight(v) grains and loops only return grains.  A ``budget`` cuts
-    the batch that would pass it short: steps == budget, exhausted is True.
+    one fires nothing.  Sinks never fire.  ``odometer`` gains k at v.  A
+    ``budget`` cuts the batch that would pass it short: steps == budget,
+    exhausted is True.
     """
-    data = _firing_rules(g)[1]
+    data = _firing_rules(g)
     steps = 0
     swept = True
     while swept:
@@ -183,16 +156,13 @@ def _fire(g: WeightedDigraph, counts: list, odometer=None, fired=None,
                 steps += k
                 if odometer is not None:
                     odometer[v] += k
-                if fired is not None:
-                    fired.extend([v] * k)
                 if exhausted:
                     return steps, True
                 swept = True
     return steps, False
 
 
-def stabilize(g: SandpileGraph, c, sink_absorbing: bool = True,
-              record: bool = False) -> StabilizationTrace:
+def stabilize(g: SandpileGraph, c, sink_absorbing: bool = True) -> StabilizationTrace:
     """Topple to the unique stable configuration in batched sweeps over the
     vertices in index order (``_fire``).  By the abelian property (Dhar
     1990; Bjorner, Lovasz and Shor 1991) the result, the odometer and the
@@ -200,21 +170,16 @@ def stabilize(g: SandpileGraph, c, sink_absorbing: bool = True,
 
     With ``sink_absorbing`` the sink is emptied (sandpile monoid semantics);
     otherwise sink grains accumulate.  Termination is guaranteed on sandpile
-    graphs, so no budget applies.  ``record`` keeps a firing sequence that
-    ``topple_once`` replays from ``c``.
+    graphs, so no budget applies.
     """
     if not isinstance(g, SandpileGraph):
         raise errors.BadParameters("stabilize needs a validated sandpile graph")
     counts = list(_check_config(g, c))
     odometer = [0] * g.n_vertices
-    fired = [] if record else None
-    steps, _ = _fire(g, counts, odometer, fired)
+    steps, _ = _fire(g, counts, odometer)
     if sink_absorbing:
         counts[g.sink] = 0
-    return StabilizationTrace(
-        tuple(counts), tuple(odometer), steps,
-        tuple(fired) if record else None,
-    )
+    return StabilizationTrace(tuple(counts), tuple(odometer), steps)
 
 
 def _stable_form(g: SandpileGraph, counts, sink_absorbing=True) -> tuple:
@@ -247,19 +212,6 @@ def stabilize_weighted(g: WeightedDigraph, c,
             f"no stable form within {step_budget} steps", partial=trace
         )
     return trace
-
-
-def potential(g: SandpileGraph, c) -> int:
-    """Exact certificate value that strictly increases under every topple
-    with sink grains retained: sum of count(v) * D**(n - dist(v)) where D is
-    the largest vertex weight (at least 2) and dist is the shortest path
-    length to the sink."""
-    c = _check_config(g, c)
-    non_sink = [v for v in range(g.n_vertices) if v != g.sink]
-    D = max([2] + [g.weight(v) for v in non_sink])
-    n = g.n_vertices
-    dist = shortest_sink_distances(g)
-    return sum(k * D ** (n - dist[v]) for v, k in enumerate(c) if k)
 
 
 # ------------------------------------------------------------------ congruence

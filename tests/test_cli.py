@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import jsonschema
@@ -7,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from sandmon import cli, ktheory, monoid, realize, rewrite
 from sandmon.cli import build_parser, main
-from sandmon.graph import SandpileGraph, graph_to_text, loop_sink_graph
-from sandmon.realize import named_examples, random_sandpile_corpus, realization
+from sandmon.graph import SandpileGraph, loop_sink_graph
+from sandmon.realize import named_examples, realization
+
+from reference import graph_to_text, random_sandpile_corpus
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "src" / "sandmon" / "report.schema.json")
@@ -207,6 +210,17 @@ def test_negative_counts_and_blanks_read_as_before(capsys):
     assert (rc, payload["result"]) == (0, "x=3")
     rc, payload, _ = run_json(capsys, "cycle-suite", " 2, 3 ")
     assert (rc, payload["weights"]) == (0, [2, 3])
+
+
+@pytest.mark.parametrize("weights", ["-2,1", "2,-1", "-2", "-1,-1"])
+def test_a_negative_weight_is_a_domain_error_wherever_it_stands(capsys, weights):
+    # a list that starts with a minus sign is the weights, not an option
+    for argv in (["cycle-suite", weights], ["cycle-suite", weights, "--json"],
+                 ["cycle-suite", "--json", weights]):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, ""), argv
+        assert err == ("error[BadParameters]: weights must be a nonempty list of"
+                       " positive integers\n"), argv
 
 
 def test_stabilize_budget_exhaustion(capsys, tmp_path):
@@ -554,6 +568,33 @@ def test_export_dot(capsys):
     assert rc == 0
     assert out.startswith("digraph")
     assert '"s" [peripheries=2];' in out
+
+
+DOT_ID = r'"(?:[^"\\]|\\.)*"'
+
+
+def test_export_dot_escapes_the_vertex_names(capsys, tmp_path):
+    names = ['a"b', "c\\d", 'e\\"f\\', '"', "s"]
+    path = tmp_path / "quoted.sg"
+    path.write_text("".join(f"vertex {name}\n" for name in names)
+                    + "".join(f"edge {name} s\n" for name in names[:-1]),
+                    encoding="utf-8")
+    rc, out, _ = run(capsys, "export-dot", str(path))
+    assert rc == 0
+    lines = out.splitlines()
+    assert (lines[0], lines[-1]) == ("digraph G {", "}")
+    vertices = [re.fullmatch(rf"  ({DOT_ID})( \[peripheries=2\])?;", line)
+                for line in lines[1:6]]
+    edges = [re.fullmatch(rf"  ({DOT_ID}) -> ({DOT_ID});", line) for line in lines[6:-1]]
+    assert all(vertices) and all(edges) and len(edges) == 4
+
+    def unescape(token):
+        return re.sub(r"\\(.)", r"\1", token[1:-1])
+
+    assert [unescape(m[1]) for m in vertices] == names
+    assert [bool(m[2]) for m in vertices] == [False] * 4 + [True]
+    assert [(unescape(m[1]), unescape(m[2])) for m in edges] == [
+        (name, "s") for name in names[:-1]]
 
 
 def test_export_dot_draws_the_file_weights(capsys, tmp_path):

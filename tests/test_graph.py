@@ -11,22 +11,27 @@ from sandmon.graph import (
     cycle_companion_sandpile,
     cycle_companion_unweighted,
     graph_to_dot,
-    graph_to_text,
     is_hereditary_saturated,
     loop_sink_graph,
-    multi_cycle_sandpile,
     non_cycle_vertices,
     parse_graph,
     quotient_graph,
     reduce_graph,
-    rose_graph,
-    shortest_sink_distances,
     validate_sandpile,
     weighted_cycle_graph,
 )
 from sandmon.monoid import enumerate_sandpile_monoid, monoid_isomorphic
-from sandmon.realize import make_t_graph, random_sandpile_corpus
+from sandmon.realize import make_t_graph
 from sandmon.rewrite import stabilize
+
+from reference import (
+    graph_to_text,
+    is_balanced,
+    multi_cycle_sandpile,
+    random_sandpile_corpus,
+    rose_graph,
+    shortest_sink_distances,
+)
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
@@ -42,7 +47,7 @@ def test_validate_loop_sink_graph():
     assert isinstance(g, SandpileGraph)
     assert g.sink_name == "s"
     assert g.out_degree("x") == 5
-    assert g.is_balanced()
+    assert is_balanced(g)
     assert all(w == 5 for (_, _, w) in g.edges)
 
 
@@ -240,16 +245,19 @@ def test_shortest_sink_distances():
 
 
 def test_shortest_sink_distances_name_the_stranded_vertices():
-    # built without validate_sandpile, so a is never checked to reach s
-    g = SandpileGraph(["a", "b", "s"], [("a", "a", 1), ("b", "s", 1)], "s")
+    # built by _balanced, so a is never checked to reach s
+    g = SandpileGraph._balanced(
+        WeightedDigraph(["a", "b", "s"], [("a", "a", 1), ("b", "s", 1)]), 2)
     with pytest.raises(errors.UnreachableSink) as info:
         shortest_sink_distances(g)
     assert info.value.vertices == ["a"]
-    # both walks from the sink name the stranded vertices in index order
+    # every walk from the sink names the stranded vertices in index order
     names = ["c", "b", "a", "s"]
     edges = [("c", "a", 1), ("a", "c", 1), ("b", "s", 1)]
-    for walk in (lambda: shortest_sink_distances(SandpileGraph(names, edges, "s")),
-                 lambda: validate_sandpile(WeightedDigraph(names, edges))):
+    unchecked = SandpileGraph._balanced(WeightedDigraph(names, edges), 3)
+    for walk in (lambda: shortest_sink_distances(unchecked),
+                 lambda: validate_sandpile(WeightedDigraph(names, edges)),
+                 lambda: SandpileGraph(names, edges, "s")):
         with pytest.raises(errors.UnreachableSink) as info:
             walk()
         assert info.value.vertices == ["c", "a"]
@@ -265,7 +273,7 @@ def test_constructor_shapes():
     assert [(e.names[s], e.names[r], w) for s, r, w in e.edges] == [
         ("v1", "v2", 2), ("v2", "v3", 2), ("v3", "v1", 1)
     ]
-    assert e.is_vertex_weighted() and not e.is_balanced()
+    assert e.is_vertex_weighted() and not is_balanced(e)
 
     f = cycle_companion_unweighted([2, 2, 1])
     assert sorted((f.names[s], f.names[r]) for s, r, _ in f.edges) == [
@@ -281,7 +289,7 @@ def test_constructor_shapes():
 
     mc = multi_cycle_sandpile([[2, 2], [3, 1, 2]])
     assert len(mc.non_sink_vertices()) == 5
-    assert mc.is_balanced()
+    assert is_balanced(mc)
 
 
 def test_constructor_bad_parameters():
@@ -416,16 +424,40 @@ def test_sandpile_constructor_imposes_the_balanced_weighting():
     assert stabilize(g, (1, 0), sink_absorbing=False).result == (1, 0)
     assert stabilize(g, (4, 0), sink_absorbing=False).result == (1, 3)
     assert g == validate_sandpile(WeightedDigraph(["x", "s"], [("x", "s", 1)] * 3))
-    # weights of any size give way, and the axioms are still not checked
-    g = SandpileGraph(["a", "b", "s"], [("a", "a", 5), ("b", "s", 2), ("b", "a", 7)], "s")
-    assert g.edges == ((0, 0, 1), (1, 2, 2), (1, 0, 2))
+    # weights of any size give way
+    g = SandpileGraph(["a", "b", "s"], [("a", "s", 5), ("b", "s", 2), ("b", "a", 7)], "s")
+    assert g.edges == ((0, 2, 1), (1, 2, 2), (1, 0, 2))
+    # and the axioms are checked: a only feeds itself
+    with pytest.raises(errors.UnreachableSink) as info:
+        SandpileGraph(["a", "b", "s"], [("a", "a", 5), ("b", "s", 2), ("b", "a", 7)], "s")
+    assert info.value.vertices == ["a"]
+
+
+@pytest.mark.parametrize("names, edges, sink, error, message", [
+    (["a", "s"], [("a", "a", 1)], "s", errors.UnreachableSink,
+     "vertices with no path to the sink: a"),
+    (["a", "b"], [("a", "b", 1), ("b", "a", 1)], "a", errors.NoSink,
+     "graph has no sink (every vertex emits an edge)"),
+    (["a", "b", "s"], [("a", "s", 1)], "s", errors.MultipleSinks,
+     "multiple sinks: b, s"),
+    (["a", "s"], [("a", "s", 1)], "a", errors.BadParameters,
+     "sink hint 'a' does not match structural sink 's'"),
+], ids=["unreachable", "no-sink", "two-sinks", "wrong-sink"])
+def test_sandpile_constructor_checks_the_axioms(names, edges, sink, error, message):
+    # the checks of validate_sandpile, which stabilize relies on to stop
+    with pytest.raises(error) as info:
+        SandpileGraph(names, edges, sink)
+    assert str(info.value) == message
+    with pytest.raises(error) as info:
+        validate_sandpile(WeightedDigraph(names, edges), sink_hint=sink)
+    assert str(info.value) == message
 
 
 def test_corpus_graphs_are_balanced_and_in_bounds():
     corpus = random_sandpile_corpus(count=60, seed=3)
     assert len(corpus) == 60
     for g in corpus:
-        assert g.is_balanced()
+        assert is_balanced(g)
         assert len(g.non_sink_vertices()) <= 6
         assert all(g.out_degree(v) <= 4 for v in g.non_sink_vertices())
     # determinism
@@ -467,7 +499,7 @@ def test_validate_sandpile_reuses_the_parsed_graph(monkeypatch):
     validated = [validate_sandpile(g) for g in raw]
     for g, sp in zip(raw, validated):
         assert_same_sandpile(sp, rebuilt_sandpile(g, sp.sink))
-        assert sp.is_balanced()
+        assert is_balanced(sp)
 
     def refuse(*args, **kwargs):
         raise AssertionError("validation constructed a graph")
@@ -723,13 +755,13 @@ def test_parse_quotient_and_reduce_build_no_graph_through_init(monkeypatch):
 
 
 def test_reduce_rejects_an_out_degree_one_cycle():
-    # built without validate_sandpile: a and b only feed each other
-    g = SandpileGraph(["a", "b", "c", "s"],
-                      [("c", "a", 1), ("c", "s", 1), ("a", "b", 1), ("b", "a", 1)], "s")
+    # built by _balanced, which checks no axiom: a and b only feed each other
+    g = SandpileGraph._balanced(WeightedDigraph(
+        ["a", "b", "c", "s"], [("c", "a", 1), ("c", "s", 1), ("a", "b", 1), ("b", "a", 1)]), 3)
     with pytest.raises(errors.UnreachableSink) as info:
         reduce_graph(g)
     assert info.value.vertices == ["a", "b"]
-    loop = SandpileGraph(["a", "s"], [("a", "a", 1)], "s")
+    loop = SandpileGraph._balanced(WeightedDigraph(["a", "s"], [("a", "a", 1)]), 1)
     with pytest.raises(errors.UnreachableSink) as info:
         reduce_graph(loop)
     assert info.value.vertices == ["a"]

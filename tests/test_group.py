@@ -20,8 +20,6 @@ from sandmon import cli, errors, group, monoid
 from sandmon.graph import (
     WeightedDigraph,
     conical_violations,
-    graph_to_text,
-    multi_cycle_sandpile,
     validate_sandpile,
 )
 from sandmon.group import sandpile_group
@@ -32,8 +30,10 @@ from sandmon.monoid import (
     enumerate_sandpile_monoid,
     smallest_ideal,
 )
-from sandmon.realize import make_t_graph, named_examples, random_sandpile_corpus
+from sandmon.realize import make_t_graph, named_examples
 from sandmon.rewrite import _stable_form, stabilize
+
+from reference import graph_to_text, multi_cycle_sandpile, random_sandpile_corpus
 from test_ktheory import reduced_laplacian as row_laplacian
 from test_monoid import complete_graph, grid_graph, small_sandpile_graphs, two_cycle_unions
 

@@ -10,15 +10,13 @@ from sandmon import errors, ktheory, monoid, realize
 from sandmon.cli import main
 from sandmon.graph import (
     WeightedDigraph,
-    graph_to_text,
     loop_sink_graph,
-    multi_cycle_sandpile,
     non_cycle_vertices,
     quotient_graph,
     reduce_graph,
     validate_sandpile,
 )
-from sandmon.ktheory import sandpile_group_via_k0
+from sandmon.ktheory import sandpile_k0_matrix
 from sandmon.monoid import (
     AbelianGroupInvariants,
     _induced_map,
@@ -36,13 +34,20 @@ from sandmon.realize import (
     make_t_graph,
     named_examples,
     prime_order_case,
-    random_sandpile_corpus,
     realization,
     refinement_structure,
 )
 
+from reference import (
+    cyclic_group_monoid,
+    graph_to_text,
+    multi_cycle_sandpile,
+    random_sandpile_corpus,
+)
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
 
@@ -141,7 +146,7 @@ def test_a_non_isomorphic_presentation_table_fails_the_realization(monkeypatch, 
     def cyclic_group(q, **kwargs):
         # a cyclic group of the same size: no sandpile side here is a group
         vm = enumerate_weighted_monoid(q, **kwargs)
-        return monoid.cyclic_group_monoid(len(vm))
+        return cyclic_group_monoid(len(vm))
 
     monkeypatch.setattr(realize, "enumerate_weighted_monoid", cyclic_group)
     for name in ("g_2_3", "t"):
@@ -318,15 +323,16 @@ def test_the_cycle_union_certificate_can_fail(monkeypatch, capsys):
 def test_the_cycle_union_certificate_runs_without_asserts():
     code = (
         "from sandmon import errors, realize\n"
-        "from sandmon.graph import multi_cycle_sandpile\n"
         "from sandmon.monoid import AbelianGroupInvariants\n"
+        "from reference import multi_cycle_sandpile\n"
         "realize.cokernel = lambda A: AbelianGroupInvariants((7,))\n"
         "try:\n"
         "    realize.refinement_structure(multi_cycle_sandpile([[2, 2], [3]]))\n"
         "except errors.CertificateFailed as exc:\n"
         "    print(exc)\n"
     )
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [str(SRC), str(TESTS),
+                                         os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120,
@@ -516,7 +522,7 @@ def test_k0_route_on_conical_corpus_members():
         conical, _ = conicality_report(g)
         if not conical:
             with pytest.raises(errors.NotConical):
-                sandpile_group_via_k0(g)
+                sandpile_k0_matrix(g)
             continue
         report = realization(reduce_graph(g))
         assert report.ok
