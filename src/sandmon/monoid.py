@@ -99,16 +99,68 @@ def atoms(M: FiniteCommMonoid) -> list:
     return list(cached)
 
 
-def _decomps(M: FiniteCommMonoid):
-    """Unordered pair decompositions grouped by sum."""
-    if "decomps" not in M._cache:
-        n = len(M)
+class _Decompositions(dict):
+    """decomps[t] lists the unordered pairs (a, b), a <= b, with a + b = t,
+    in increasing order.  Sum t is built when it is first read, as a search
+    reads only some sums.
+
+    Both parts of a pair divide t, and the divisors of t are the closure of
+    {t} under taking a generator off: the elements x with x + g = y for g
+    in the generating set ``gens`` and a divisor y, read off ``below``.
+    Only pairs of divisors are tried.  A build that would take the pairs
+    tried past n(n+1)/2, the size of the full table, fills the remaining
+    sums in one pass over all pairs instead, so no table costs more than
+    twice that pass: a group, whose every element divides every sum, would
+    otherwise try n^3 / 2 pairs."""
+
+    def __init__(self, add, gens):
+        super().__init__()
+        self.add = add
+        self.gens = gens
+        n = len(add)
+        self.below = below = [[] for _ in range(n)]
+        for g in gens:
+            for x, y in enumerate(add[g]):
+                below[y].append(x)
+        self.tries_left = n * (n + 1) // 2
+
+    def __missing__(self, t):
+        below = self.below
+        divisors = {t}
+        frontier = [t]
+        while frontier:
+            for x in below[frontier.pop()]:
+                if x not in divisors:
+                    divisors.add(x)
+                    frontier.append(x)
+        k = len(divisors)
+        if k * (k + 1) // 2 > self.tries_left:
+            self._fill()
+            return self[t]
+        self.tries_left -= k * (k + 1) // 2
+        ordered = sorted(divisors)
+        add = self.add
+        pairs = self[t] = []
+        for i, a in enumerate(ordered):
+            row = add[a]
+            pairs += [(a, b) for b in ordered[i:] if row[b] == t]
+        return pairs
+
+    def _fill(self):
+        n = len(self.add)
         table = [[] for _ in range(n)]
-        for a in range(n):
-            row = M.add[a]
+        for a, row in enumerate(self.add):
             for b in range(a, n):
                 table[row[b]].append((a, b))
-        M._cache["decomps"] = table
+        for t, pairs in enumerate(table):
+            self.setdefault(t, pairs)
+
+
+def _decomps(M: FiniteCommMonoid):
+    """The decompositions of M (see ``_Decompositions``) over
+    ``_generating_set(M)``, cached on M."""
+    if "decomps" not in M._cache:
+        M._cache["decomps"] = _Decompositions(M.add, _generating_set(M))
     return M._cache["decomps"]
 
 
@@ -177,6 +229,7 @@ def is_refinement(M: FiniteCommMonoid):
     on the table, refines with no search: C_n is {0} with a cyclic group G,
     an equation a + b = c + d in G refines as [[c, a - c], [0, b]], one
     with a term 0 refines trivially, and refinement passes to direct sums.
+    A group, a table whose every element is a unit, refines the same way.
 
     Any other monoid is searched.  It suffices that every x + y = c + d
     with x in a generating set X refines.  By induction on the length of
@@ -187,13 +240,15 @@ def is_refinement(M: FiniteCommMonoid):
     a1 + a2 = b1 + b2.  Those equations are checked in order of their sum.
     Only when one of them fails are all equations scanned for the first
     witness, and only up to that sum, where the failing equation itself
-    lies (up to swapping sides).
+    lies (up to swapping sides).  Only the sums that the search reads are
+    decomposed (see ``_Decompositions``).
     """
-    if classify_cyclic_sum(M) is not None:
+    if classify_cyclic_sum(M) is not None or len(units(M)) == len(M):
         return True, None
     add, sol, decomps = M.add, _solutions(M), _decomps(M)
-    gens = _generating_set(M)
-    for t, pairs in enumerate(decomps):
+    gens = decomps.gens
+    for t in range(len(M)):
+        pairs = decomps[t]
         for x in gens:
             for y in sol[x].get(t, ()):
                 splits, other = _smaller_split(decomps, x, y)
@@ -208,7 +263,8 @@ def _first_witness(add, sol, decomps, gens, last: int):
     (c, d) in ``decomps[a + b]`` and a + b at most ``last``, that has no
     refinement.  Below ``last`` the equations that contain a generator
     refine, as the generator pass has checked them, so they are skipped."""
-    for t, pairs in enumerate(decomps[:last + 1]):
+    for t in range(last + 1):
+        pairs = decomps[t]
         checked = gens if t < last else ()
         for i, (a, b) in enumerate(pairs):
             if a in checked or b in checked:

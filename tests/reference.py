@@ -1,16 +1,20 @@
 """References and fixtures that the tests compare the library against.
 
 Nothing in ``sandmon`` calls these: one-step firing and the potential that
-certifies termination, small monoid tables built by hand, dense matrix
-helpers that check Smith normal forms, graph families and the seeded
-corpus of random sandpile graphs.
+certifies termination, the plain rule completion, small monoid tables built
+by hand, dense matrix helpers that check Smith normal forms, graph families,
+the seeded corpus of random sandpile graphs and a strategy that draws small
+sandpile graphs.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from functools import reduce
 from math import prod
+
+from hypothesis import assume, strategies as st
 
 from sandmon import errors
 from sandmon.graph import SandpileGraph, WeightedDigraph, _sink_distances, validate_sandpile
@@ -23,6 +27,7 @@ from sandmon.monoid import (
     _solutions,
     atoms,
 )
+from sandmon.rewrite import CompletionOverflow
 
 # ---------------------------------------------------------------------- firing
 
@@ -71,6 +76,56 @@ def potential(g: SandpileGraph, c) -> int:
     n = g.n_vertices
     dist = shortest_sink_distances(g)
     return sum(k * D ** (n - dist[v]) for v, k in enumerate(c) if k)
+
+
+# ------------------------------------------------------------ rule completion
+
+
+def reference_reduction_system(n_gens, relations, max_rules=4000):
+    """Oracle for ReductionSystem: critical-pair completion that reduces by
+    the first applicable rule in list order, one application at a time,
+    rescanning the rules from the start after each.  Returns the rules and
+    that reducer, which gives the normal forms once completion is done;
+    raises CompletionOverflow past ``max_rules`` rules."""
+    rules = []
+    pending = deque()
+
+    def reduce(vec):
+        vec = tuple(vec)
+        changed = True
+        while changed:
+            changed = False
+            for lhs, rhs in rules:
+                if all(a >= b for a, b in zip(vec, lhs)):
+                    vec = tuple(a - b + c for a, b, c in zip(vec, lhs, rhs))
+                    changed = True
+                    break
+        return vec
+
+    def add_rule(x, y):
+        x, y = reduce(x), reduce(y)
+        if x == y:
+            return
+        if (sum(x), x) < (sum(y), y):
+            x, y = y, x
+        if len(rules) >= max_rules:
+            raise CompletionOverflow(f"more than {max_rules} rules")
+        rules.append((x, y))
+        for j in range(len(rules) - 1):
+            pending.append((len(rules) - 1, j))
+
+    for x, y in relations:
+        add_rule(tuple(x), tuple(y))
+    while pending:
+        i, j = pending.popleft()
+        li, ri = rules[i]
+        lj, rj = rules[j]
+        if all(a == 0 or b == 0 for a, b in zip(li, lj)):
+            continue
+        overlap = tuple(max(a, b) for a, b in zip(li, lj))
+        add_rule(tuple(o - a + b for o, a, b in zip(overlap, li, ri)),
+                 tuple(o - a + b for o, a, b in zip(overlap, lj, rj)))
+    return rules, reduce
 
 
 # --------------------------------------------------------------------- monoids
@@ -241,6 +296,20 @@ def snf_diagonal(S) -> list:
     return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
 
 
+def row_laplacian(g):
+    """Out-degree on the diagonal minus the edge counts, over the non-sink
+    vertices."""
+    keep = g.non_sink_vertices()
+    where = {v: i for i, v in enumerate(keep)}
+    L = [[0] * len(keep) for _ in keep]
+    for s, r, _ in g.edges:
+        if s in where:
+            L[where[s]][where[s]] += 1
+            if r in where:
+                L[where[s]][where[r]] -= 1
+    return L
+
+
 # ---------------------------------------------------------------------- graphs
 
 
@@ -262,6 +331,50 @@ def is_balanced(g: WeightedDigraph) -> bool:
     return g.is_vertex_weighted() and all(
         g.weight(v) == g.out_degree(v) for v in g.regular_vertices()
     )
+
+
+def diverging_graph():
+    """Two mutually connected vertices with loops, all weights two; firing u
+    adds a grain, so some elements never stabilize."""
+    return WeightedDigraph(
+        ["u", "v"],
+        [("u", "u", 2), ("u", "v", 2), ("u", "v", 2), ("v", "u", 2), ("v", "v", 2)],
+    )
+
+
+def complete_triangle():
+    return WeightedDigraph(
+        ["v1", "v2", "v3"],
+        [("v1", "v2", 1), ("v1", "v3", 1),
+         ("v2", "v3", 1), ("v2", "v1", 1),
+         ("v3", "v1", 1), ("v3", "v2", 1)],
+    )
+
+
+def chain_graph():
+    return validate_sandpile(WeightedDigraph(
+        ["a", "b", "s"], [("a", "b", 1), ("b", "s", 1)]
+    ))
+
+
+def grid_graph(rows, cols):
+    """Each cell sends one grain to each of its four neighbours; boundary
+    cells send the grains of their missing neighbours to the sink."""
+    names = [f"r{i}c{j}" for i in range(rows) for j in range(cols)] + ["s"]
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                inside = 0 <= a < rows and 0 <= b < cols
+                edges.append((f"r{i}c{j}", f"r{a}c{b}" if inside else "s", 1))
+    return validate_sandpile(WeightedDigraph(names, edges))
+
+
+def complete_graph(n):
+    """K_n with the last vertex made the sink (its outgoing edges dropped)."""
+    names = [f"v{i}" for i in range(n - 1)] + ["s"]
+    edges = [(u, t, 1) for u in names[:-1] for t in names if t != u]
+    return validate_sandpile(WeightedDigraph(names, edges))
 
 
 def rose_graph(petals: int, weight: int) -> WeightedDigraph:
@@ -299,6 +412,12 @@ def multi_cycle_sandpile(classes) -> SandpileGraph:
     return validate_sandpile(WeightedDigraph(names, edges))
 
 
+def two_cycle_unions():
+    """Unions of two cycles whose sandpile monoids have 128 elements."""
+    return [multi_cycle_sandpile(classes) for classes in
+            ([[2, 2, 2], [4, 2, 2]], [[2, 4], [4, 4]], [[8], [2, 2, 2, 2]])]
+
+
 def random_sandpile_corpus(count: int = 220, seed: int = 20260810) -> list:
     """Deterministic seeded corpus of valid sandpile graphs.
 
@@ -324,3 +443,22 @@ def random_sandpile_corpus(count: int = 220, seed: int = 20260810) -> list:
         except errors.SandmonError:
             continue
     return graphs
+
+
+@st.composite
+def small_sandpile_graphs(draw):
+    """A random sandpile graph on 2-6 vertices, the sink at a random index,
+    whose monoid has at most 256 elements."""
+    n = draw(st.integers(2, 6))
+    perm = draw(st.permutations(range(n)))
+    edges = []
+    for v in range(n - 1):
+        # one edge to a higher position lets every vertex reach the sink,
+        # which sits at the last position
+        edges.append((v, draw(st.integers(v + 1, n - 1))))
+        edges.extend((v, t) for t in draw(st.lists(st.integers(0, n - 1), max_size=4)))
+    g = validate_sandpile(WeightedDigraph(
+        [f"v{i}" for i in range(n)], [(perm[s], perm[t], 1) for s, t in edges]
+    ))
+    assume(prod(g.out_degree(v) for v in g.non_sink_vertices()) <= 256)
+    return g

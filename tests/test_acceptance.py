@@ -49,8 +49,10 @@ from sandmon.rewrite import (
 )
 
 from reference import (
+    complete_triangle,
     cyclic_group_monoid,
     determinant,
+    diverging_graph,
     firing_path,
     is_atom_cancellative,
     mat_mul,
@@ -68,22 +70,6 @@ def _announce(number, message):
 
 def _invariants(k):
     return AbelianGroupInvariants((k,), 0) if k > 1 else AbelianGroupInvariants((), 0)
-
-
-def diverging_graph():
-    return WeightedDigraph(
-        ["u", "v"],
-        [("u", "u", 2), ("u", "v", 2), ("u", "v", 2), ("v", "u", 2), ("v", "v", 2)],
-    )
-
-
-def complete_triangle():
-    return WeightedDigraph(
-        ["v1", "v2", "v3"],
-        [("v1", "v2", 1), ("v1", "v3", 1),
-         ("v2", "v3", 1), ("v2", "v1", 1),
-         ("v3", "v1", 1), ("v3", "v2", 1)],
-    )
 
 
 def test_criterion_1_loop_sink_realization():

@@ -25,6 +25,7 @@ from sandmon.realize import make_t_graph
 from sandmon.rewrite import stabilize
 
 from reference import (
+    chain_graph,
     graph_to_text,
     is_balanced,
     multi_cycle_sandpile,
@@ -34,12 +35,6 @@ from reference import (
 )
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
-
-
-def chain_graph():
-    return validate_sandpile(WeightedDigraph(
-        ["a", "b", "s"], [("a", "b", 1), ("b", "s", 1)]
-    ))
 
 
 def test_validate_loop_sink_graph():

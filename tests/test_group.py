@@ -33,9 +33,16 @@ from sandmon.monoid import (
 from sandmon.realize import make_t_graph, named_examples
 from sandmon.rewrite import _stable_form, stabilize
 
-from reference import graph_to_text, multi_cycle_sandpile, random_sandpile_corpus
-from test_ktheory import reduced_laplacian as row_laplacian
-from test_monoid import complete_graph, grid_graph, small_sandpile_graphs, two_cycle_unions
+from reference import (
+    complete_graph,
+    graph_to_text,
+    grid_graph,
+    multi_cycle_sandpile,
+    random_sandpile_corpus,
+    row_laplacian,
+    small_sandpile_graphs,
+    two_cycle_unions,
+)
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent

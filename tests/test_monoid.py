@@ -47,38 +47,27 @@ from sandmon.rewrite import (
 )
 
 from reference import (
+    complete_graph,
+    complete_triangle,
     cyclic_group_monoid,
     cyclic_monoid,
     direct_sum,
     direct_sum_of_cyclic,
+    diverging_graph,
+    grid_graph,
     is_atom_cancellative,
     monogenic_monoid,
-    multi_cycle_sandpile,
     random_sandpile_corpus,
+    reference_reduction_system,
     refine_equation,
     rose_graph,
+    small_sandpile_graphs,
     trivial_monoid,
+    two_cycle_unions,
     verify_monoid,
 )
-from test_rewrite import reference_reduction_system
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def diverging_graph():
-    return WeightedDigraph(
-        ["u", "v"],
-        [("u", "u", 2), ("u", "v", 2), ("u", "v", 2), ("v", "u", 2), ("v", "v", 2)],
-    )
-
-
-def complete_triangle():
-    return WeightedDigraph(
-        ["v1", "v2", "v3"],
-        [("v1", "v2", 1), ("v1", "v3", 1),
-         ("v2", "v3", 1), ("v2", "v1", 1),
-         ("v3", "v1", 1), ("v3", "v2", 1)],
-    )
 
 
 def test_monogenic_monoid_tables():
@@ -415,26 +404,6 @@ def test_monoid_tables_verify_on_examples():
 # ------------------------------------------- sandpile tables and their ideals
 
 
-def grid_graph(rows, cols):
-    """Each cell sends one grain to each of its four neighbours; boundary
-    cells send the grains of their missing neighbours to the sink."""
-    names = [f"r{i}c{j}" for i in range(rows) for j in range(cols)] + ["s"]
-    edges = []
-    for i in range(rows):
-        for j in range(cols):
-            for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                inside = 0 <= a < rows and 0 <= b < cols
-                edges.append((f"r{i}c{j}", f"r{a}c{b}" if inside else "s", 1))
-    return validate_sandpile(WeightedDigraph(names, edges))
-
-
-def complete_graph(n):
-    """K_n with the last vertex made the sink (its outgoing edges dropped)."""
-    names = [f"v{i}" for i in range(n - 1)] + ["s"]
-    edges = [(u, t, 1) for u in names[:-1] for t in names if t != u]
-    return validate_sandpile(WeightedDigraph(names, edges))
-
-
 def reference_sandpile_table(g):
     """Oracle for enumerate_sandpile_monoid: add every unordered pair of
     stable configurations and stabilise the sum.  Returns the table, the
@@ -474,25 +443,6 @@ def assert_table_matches_reference(g):
     assert M.labels == labels
     assert M.generators == gens
     assert M.zero == 0
-
-
-@st.composite
-def small_sandpile_graphs(draw):
-    """A random sandpile graph on 2-6 vertices, the sink at a random index,
-    whose monoid has at most 256 elements."""
-    n = draw(st.integers(2, 6))
-    perm = draw(st.permutations(range(n)))
-    edges = []
-    for v in range(n - 1):
-        # one edge to a higher position lets every vertex reach the sink,
-        # which sits at the last position
-        edges.append((v, draw(st.integers(v + 1, n - 1))))
-        edges.extend((v, t) for t in draw(st.lists(st.integers(0, n - 1), max_size=4)))
-    g = validate_sandpile(WeightedDigraph(
-        [f"v{i}" for i in range(n)], [(perm[s], perm[t], 1) for s, t in edges]
-    ))
-    assume(prod(g.out_degree(v) for v in g.non_sink_vertices()) <= 256)
-    return g
 
 
 def test_sandpile_table_matches_pairwise_reference():
@@ -874,18 +824,26 @@ def without_generators(M):
     return FiniteCommMonoid(add=M.add, zero=M.zero, labels=M.labels, reps=M.reps)
 
 
+def eager_decomps(M):
+    """Every unordered pair (a, b), a <= b, grouped by its sum in index
+    order: the table that ``_Decompositions`` builds a sum at a time."""
+    by_sum = [[] for _ in range(len(M))]
+    for a in range(len(M)):
+        for b in range(a, len(M)):
+            by_sum[M.add[a][b]].append((a, b))
+    return by_sum
+
+
 def assert_refinement_matches_reference(M):
     expected = reference_is_refinement(M)
     assert is_refinement(M) == expected
+    # each sum the search built holds the eager table's pairs, in its order
+    built = M._cache.get("decomps", {})
+    by_sum = eager_decomps(M)
+    assert all(pairs == by_sum[t] for t, pairs in built.items())
     # the generating set is read off the table, so the verdict and witness
     # do not depend on the generators map or on what was cached
     assert is_refinement(without_generators(M)) == expected
-
-
-def two_cycle_unions():
-    """Unions of two cycles whose sandpile monoids have 128 elements."""
-    return [multi_cycle_sandpile(classes) for classes in
-            ([[2, 2, 2], [4, 2, 2]], [[2, 4], [4, 4]], [[8], [2, 2, 2, 2]])]
 
 
 def test_refinement_matches_reference_on_the_corpus():
@@ -911,6 +869,25 @@ def test_refinement_matches_reference_on_cycle_unions():
         assert is_refinement(M) == reference_is_refinement(M) == (True, None)
 
 
+def unit_group_plus_idempotent(k):
+    """Z/k + C_2 by hand: (i, a) + (j, b) = (i + j mod k, max(a, b)), the
+    element (i, a) at index a*k + i, so the idempotent part is the major
+    index (``direct_sum`` puts the first summand there)."""
+    pairs = [(i, a) for a in range(2) for i in range(k)]
+    index = {p: x for x, p in enumerate(pairs)}
+    table = [[index[(i + j) % k, max(a, b)] for j, b in pairs] for i, a in pairs]
+    return FiniteCommMonoid(add=table, zero=0, labels=[f"{i}u+{a}e" for i, a in pairs])
+
+
+def unit_and_idempotent_graph(k):
+    """u with k edges to the sink, plus x with one loop and one sink edge:
+    u generates Z/k and x = x + x, so the monoid is Z/k + C_2, which is not
+    conical, refines, and is neither a cyclic sum nor a group."""
+    return validate_sandpile(WeightedDigraph(
+        ["u", "x", "s"], [("u", "s", 1)] * k + [("x", "x", 1), ("x", "s", 1)]
+    ))
+
+
 def test_refinement_matches_reference_on_cyclic_and_monogenic_sums():
     monoids = [direct_sum_of_cyclic(orders)
                for orders in ([2, 3], [3, 4], [2, 2, 3], [5, 6])]
@@ -918,6 +895,12 @@ def test_refinement_matches_reference_on_cyclic_and_monogenic_sums():
     monoids += [direct_sum(monogenic_monoid(2, 3), cyclic_monoid(3)),
                 direct_sum(cyclic_group_monoid(2), cyclic_monoid(4)),
                 direct_sum(monogenic_monoid(1, 2), monogenic_monoid(3, 2))]
+    # groups, which refine with no search, and refinement monoids with units
+    # that are neither groups nor cyclic sums, which scan every sum
+    monoids += [cyclic_group_monoid(n) for n in (5, 6, 8)]
+    monoids += [direct_sum(cyclic_group_monoid(2), cyclic_group_monoid(k)) for k in (2, 3, 4)]
+    monoids += [unit_group_plus_idempotent(k) for k in (1, 2, 3, 5)]
+    monoids += [enumerate_sandpile_monoid(unit_and_idempotent_graph(k)) for k in (1, 2, 3, 5)]
     verdicts = set()
     for M in monoids:
         assert_refinement_matches_reference(M)
@@ -958,7 +941,7 @@ def test_refinement_searches_only_generator_equations(monkeypatch):
     assert gens == [1, 4]
     # one search per equation x + a = c + d: 80 of the 112 equations
     assert len(searches) == sum(len(decomps[t]) for x in gens for t in M.add[x]) == 80
-    assert sum(len(p) * (len(p) + 1) // 2 for p in decomps) == 112
+    assert sum(len(decomps[t]) * (len(decomps[t]) + 1) // 2 for t in range(len(M))) == 112
 
 
 def test_refinement_of_a_cyclic_sum_is_read_off_the_certificate(monkeypatch):
@@ -969,6 +952,44 @@ def test_refinement_of_a_cyclic_sum_is_read_off_the_certificate(monkeypatch):
         assert classify_cyclic_sum(M) == [8, 16]
         assert "decomps" not in M._cache and "solutions" not in M._cache
     assert searches == []
+
+
+def test_refinement_of_a_group_needs_no_search(monkeypatch):
+    searches = count_refine_calls(monkeypatch)
+    groups = [cyclic_group_monoid(256), direct_sum(cyclic_group_monoid(2), cyclic_group_monoid(64))]
+    for M in groups:
+        assert classify_cyclic_sum(M) is None
+        assert len(units(M)) == len(M)
+        assert is_refinement(M) == (True, None)
+        assert "decomps" not in M._cache and "solutions" not in M._cache
+    assert searches == []
+
+
+def test_refinement_builds_only_the_sums_it_reads():
+    # out-degrees 4, 4 and 8: 128 elements, not refinement
+    g = validate_sandpile(WeightedDigraph(
+        ["a", "b", "c", "s"],
+        [("a", "b", 1), ("a", "s", 1), ("a", "c", 1), ("a", "a", 1),
+         ("b", "a", 1), ("b", "c", 1), ("b", "s", 1), ("b", "s", 1),
+         ("c", "a", 1), ("c", "b", 1)] + [("c", "s", 1)] * 6,
+    ))
+    M = enumerate_sandpile_monoid(g)
+    assert len(M) == 128
+    assert is_refinement(M) == (False, (1, 32, 8, 24))
+    assert len(M._cache["decomps"]) < len(M)
+
+
+def test_refinement_scan_stores_the_eager_table_once():
+    # every sum is read, and the per-sum builds run out of work and leave
+    # the remaining sums to one pass over all pairs
+    M = direct_sum(cyclic_group_monoid(64), cyclic_monoid(2))
+    n = len(M)
+    assert is_refinement(M) == (True, None)
+    decomps = M._cache["decomps"]
+    assert decomps.tries_left >= 0
+    assert sorted(decomps) == list(range(n))
+    assert sum(len(pairs) for pairs in decomps.values()) == n * (n + 1) // 2
+    assert [decomps[t] for t in range(n)] == eager_decomps(M)
 
 
 def test_classify_cyclic_sum_is_cached_as_copies(monkeypatch):

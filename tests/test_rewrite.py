@@ -1,5 +1,4 @@
 import random
-from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +12,6 @@ from sandmon.graph import (
     validate_sandpile,
 )
 from sandmon.rewrite import (
-    CompletionOverflow,
     ReductionSystem,
     StabilizationTrace,
     _stable_form,
@@ -30,32 +28,20 @@ from sandmon.rewrite import (
 )
 from sandmon.realize import make_t_graph, named_examples
 
-from reference import firing_path, potential, random_sandpile_corpus, rose_graph, topple_once
+from reference import (
+    chain_graph,
+    diverging_graph,
+    firing_path,
+    grid_graph,
+    potential,
+    random_sandpile_corpus,
+    reference_reduction_system,
+    rose_graph,
+    topple_once,
+)
 
 G23 = loop_sink_graph(2, 3)
 T = make_t_graph()
-
-
-def diverging_graph():
-    """Two mutually connected vertices with loops, all weights two; firing u
-    adds a grain, so some elements never stabilize."""
-    return WeightedDigraph(
-        ["u", "v"],
-        [("u", "u", 2), ("u", "v", 2), ("u", "v", 2), ("v", "u", 2), ("v", "v", 2)],
-    )
-
-
-def grid_graph(rows, cols):
-    """Each cell sends one grain to each of its four neighbours; boundary
-    cells send the grains of their missing neighbours to the sink."""
-    names = [f"r{i}c{j}" for i in range(rows) for j in range(cols)] + ["s"]
-    edges = []
-    for i in range(rows):
-        for j in range(cols):
-            for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                inside = 0 <= a < rows and 0 <= b < cols
-                edges.append((f"r{i}c{j}", f"r{a}c{b}" if inside else "s", 1))
-    return validate_sandpile(WeightedDigraph(names, edges))
 
 
 def reference_stabilize(g, c, sink_absorbing=False, budget=None):
@@ -147,12 +133,6 @@ def weighted_cases(draw):
     g = WeightedDigraph([f"v{i}" for i in range(n)], edges)
     c = tuple(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
     return g, c, draw(st.integers(0, 80))
-
-
-def chain_graph():
-    return validate_sandpile(WeightedDigraph(
-        ["a", "b", "s"], [("a", "b", 1), ("b", "s", 1)]
-    ))
 
 
 def test_config_serialization():
@@ -548,53 +528,6 @@ def test_reduction_system_direct():
     assert [rs.normal_form((k,)) for k in range(12)] == [
         (0,), (1,), (2,), (3,), (4,), (2,), (3,), (4,), (2,), (3,), (4,), (2,)
     ]
-
-
-def reference_reduction_system(n_gens, relations, max_rules=4000):
-    """Oracle for ReductionSystem: critical-pair completion that reduces by
-    the first applicable rule in list order, one application at a time,
-    rescanning the rules from the start after each.  Returns the rules and
-    that reducer, which gives the normal forms once completion is done;
-    raises CompletionOverflow past ``max_rules`` rules."""
-    rules = []
-    pending = deque()
-
-    def reduce(vec):
-        vec = tuple(vec)
-        changed = True
-        while changed:
-            changed = False
-            for lhs, rhs in rules:
-                if all(a >= b for a, b in zip(vec, lhs)):
-                    vec = tuple(a - b + c for a, b, c in zip(vec, lhs, rhs))
-                    changed = True
-                    break
-        return vec
-
-    def add_rule(x, y):
-        x, y = reduce(x), reduce(y)
-        if x == y:
-            return
-        if (sum(x), x) < (sum(y), y):
-            x, y = y, x
-        if len(rules) >= max_rules:
-            raise CompletionOverflow(f"more than {max_rules} rules")
-        rules.append((x, y))
-        for j in range(len(rules) - 1):
-            pending.append((len(rules) - 1, j))
-
-    for x, y in relations:
-        add_rule(tuple(x), tuple(y))
-    while pending:
-        i, j = pending.popleft()
-        li, ri = rules[i]
-        lj, rj = rules[j]
-        if all(a == 0 or b == 0 for a, b in zip(li, lj)):
-            continue
-        overlap = tuple(max(a, b) for a, b in zip(li, lj))
-        add_rule(tuple(o - a + b for o, a, b in zip(overlap, li, ri)),
-                 tuple(o - a + b for o, a, b in zip(overlap, lj, rj)))
-    return rules, reduce
 
 
 def completion_inputs():
