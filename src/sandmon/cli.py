@@ -324,33 +324,11 @@ def _realize_lines(payload: dict) -> list:
 
 
 def cmd_realize(args) -> int:
-    if args.golden:
-        return _run_golden(args)
     g = _load_sandpile(args.graph)
     report = realize.realization(g, name=Path(args.graph).stem)
     payload = {"report": "realize", **report.to_json()}
     _emit(args, payload, lambda: _realize_lines(payload))
     return 0 if report.ok else 1
-
-
-def _run_golden(args) -> int:
-    directory = Path(args.golden)
-    directory.mkdir(parents=True, exist_ok=True)
-    failures = 0
-    for name, g in sorted(realize.named_examples().items()):
-        report = realize.realization(g, name=name).to_json()
-        path = directory / f"{name}.json"
-        if not path.exists():
-            path.write_text(render_json(report) + "\n", encoding="utf-8")
-            print(f"wrote {path}")
-            continue
-        stored = json.loads(path.read_text(encoding="utf-8"))
-        if stored == report:
-            print(f"ok {name}")
-        else:
-            print(f"mismatch {name}")
-            failures += 1
-    return 1 if failures else 0
 
 
 def cmd_classify(args) -> int:
@@ -436,10 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, graph_arg=True):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
-        if graph_arg:
-            p.add_argument("graph", help="graph file in the text format")
+        p.add_argument("graph", help="graph file in the text format")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         return p
 
@@ -470,12 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sandpile-group", action="store_true",
                    help="use the quotient by the no-cycle vertex set")
 
-    p = sub.add_parser("realize", help="certify the quotient realization")
-    p.add_argument("graph", nargs="?", help="graph file in the text format")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--golden", metavar="DIR",
-                   help="write or compare canonical reports for the named examples")
-
+    add("realize", "certify the quotient realization")
     add("classify", "refinement structure and cyclic sum")
     add("prime", "prime order classification")
 
@@ -493,10 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "realize" and not args.golden and not args.graph:
-        parser.error("realize needs a graph file or --golden DIR")
+    args = build_parser().parse_args(argv)
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)

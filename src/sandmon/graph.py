@@ -408,6 +408,8 @@ def conical_violations(g: SandpileGraph) -> list[int]:
 def loop_sink_graph(n_loops: int, n_sink_edges: int) -> SandpileGraph:
     """One non-sink vertex x carrying ``n_loops`` loops and ``n_sink_edges``
     parallel edges to the sink s."""
+    n_loops = _integer(n_loops, errors.BadParameters, "loop count")
+    n_sink_edges = _integer(n_sink_edges, errors.BadParameters, "sink edge count")
     if n_loops < 1 or n_sink_edges < 1:
         raise errors.BadParameters("loop and sink edge counts must be >= 1")
     edges = [("x", "x", 1)] * n_loops + [("x", "s", 1)] * n_sink_edges
@@ -415,7 +417,7 @@ def loop_sink_graph(n_loops: int, n_sink_edges: int) -> SandpileGraph:
 
 
 def _check_cycle_weights(weights) -> list[int]:
-    weights = [int(w) for w in weights]
+    weights = [_integer(w, errors.BadParameters, "weight") for w in weights]
     if not weights or any(w < 1 for w in weights):
         raise errors.BadParameters("weights must be a nonempty list of positive integers")
     if all(w == 1 for w in weights):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from itertools import compress
 from math import gcd
+from operator import index
 
 from . import errors
 from .graph import (
@@ -51,7 +52,10 @@ def smith_normal_form(A: Matrix):
     block, which keeps intermediate entries modest.
     """
     m, n = _shape(A)
-    S = [list(map(int, row)) for row in A]
+    try:
+        S = [list(map(index, row)) for row in A]
+    except TypeError:
+        raise errors.BadParameters("matrix entries must be integers") from None
     U = identity_matrix(m)
     V = identity_matrix(n)
 
@@ -150,7 +154,8 @@ def smith_normal_form(A: Matrix):
 def smith_diagonal(A: Matrix) -> list:
     """The diagonal of the Smith normal form of A, exactly and without the
     transforms: ones, then the invariant factors above one in divisibility
-    order, then min(rows, columns) - rank zeros.
+    order, then min(rows, columns) - rank zeros.  Only the entries that test
+    true are read: a non-integer one is BadParameters, and 0.0 reads as 0.
 
     The matrix is eliminated in sparse form, one pivot at a time, and each
     pivot adds one diagonal entry.  A +-1 pivot leaves a Schur complement
@@ -184,7 +189,10 @@ def smith_diagonal(A: Matrix) -> list:
     rows = {}
     cols = {}
     for i, row in enumerate(A):
-        entries = {j: int(row[j]) for j in compress(range(n), row)}
+        try:
+            entries = {j: index(row[j]) for j in compress(range(n), row)}
+        except TypeError:
+            raise errors.BadParameters("matrix entries must be integers") from None
         if entries:
             rows[i] = entries
             for j in entries:

@@ -64,9 +64,6 @@ class FiniteCommMonoid:
     def __len__(self):
         return len(self.add)
 
-    def describe(self) -> str:
-        return "{" + ", ".join(self.labels) + "}"
-
 
 # ----------------------------------------------------------------- predicates
 
@@ -211,14 +208,6 @@ def _refine(add, sol, splits, b: int, c: int, d: int):
     return None
 
 
-def _smaller_split(decomps, a: int, b: int):
-    """(the decompositions of a, b), or of b and a when b has fewer: the
-    split that a search of a + b = c + d tries."""
-    if len(decomps[b]) < len(decomps[a]):
-        return decomps[b], a
-    return decomps[a], b
-
-
 def is_refinement(M: FiniteCommMonoid):
     """Exact refinement check.  Returns (True, None) or
     (False, (a, b, c, d)) with a witnessing equation: the first equation
@@ -251,9 +240,9 @@ def is_refinement(M: FiniteCommMonoid):
         pairs = decomps[t]
         for x in gens:
             for y in sol[x].get(t, ()):
-                splits, other = _smaller_split(decomps, x, y)
+                splits = decomps[x]
                 for c, d in pairs:
-                    if _refine(add, sol, splits, other, c, d) is None:
+                    if _refine(add, sol, splits, y, c, d) is None:
                         return False, _first_witness(add, sol, decomps, set(gens), t)
     return True, None
 
@@ -269,11 +258,11 @@ def _first_witness(add, sol, decomps, gens, last: int):
         for i, (a, b) in enumerate(pairs):
             if a in checked or b in checked:
                 continue
-            splits, other = _smaller_split(decomps, a, b)
+            splits = decomps[a]
             for c, d in pairs[i:]:
                 if c in checked or d in checked:
                     continue
-                if _refine(add, sol, splits, other, c, d) is None:
+                if _refine(add, sol, splits, b, c, d) is None:
                     return a, b, c, d
     raise errors.CertificateFailed(
         "a generator equation has no refinement, but every equation up to"

@@ -1,7 +1,6 @@
 """End-to-end certification: quotient realization of sandpile monoids,
 refinement structure read off the cycle presentation, prime-order
-classification and the weighted cycle suite, together with the worked
-examples behind ``realize --golden``."""
+classification and the weighted cycle suite."""
 
 from __future__ import annotations
 
@@ -11,15 +10,13 @@ from math import prod
 from . import errors
 from .graph import (
     SandpileGraph,
-    WeightedDigraph,
+    _check_cycle_weights,
     conical_violations,
     cycle_companion_sandpile,
     cycle_companion_unweighted,
-    loop_sink_graph,
     non_cycle_vertices,
     quotient_graph,
     reduce_graph,
-    validate_sandpile,
     weighted_cycle_graph,
 )
 from .ktheory import _divisibility_chain, cokernel, k0_matrix, reduced_laplacian
@@ -308,10 +305,11 @@ def cycle_suite(weights) -> CycleSuiteReport:
     for ``refinement_structure``, which checks the reduced Laplacian and
     must find the orders [n]; the other two are C_n exactly when the
     cokernel of their k0 matrix is Z/(n - 1), the group of C_n."""
+    weights = _check_cycle_weights(weights)
     E = weighted_cycle_graph(weights)
     F = cycle_companion_unweighted(weights)
     G = cycle_companion_sandpile(weights)
-    order = prod(int(w) for w in weights)
+    order = prod(weights)
     group = AbelianGroupInvariants(tuple(_divisibility_chain([order - 1])))
     structure, _ = refinement_structure(reduce_graph(G))
     isomorphic = {
@@ -320,33 +318,6 @@ def cycle_suite(weights) -> CycleSuiteReport:
         "sandpile_companion": structure is not None and structure.orders == [order],
     }
     return CycleSuiteReport(
-        weights=[int(w) for w in weights], order=order,
+        weights=weights, order=order,
         sizes=dict.fromkeys(isomorphic, order), isomorphic=isomorphic,
     )
-
-
-# -------------------------------------------------------------------- examples
-
-
-def make_t_graph() -> SandpileGraph:
-    """Three mutually connected vertices (two with loops) all draining into
-    one sink; the quotient by the sink is the triangle with weight 3."""
-    return validate_sandpile(WeightedDigraph(
-        ["u", "v", "z", "s"],
-        [("u", "v", 1), ("u", "z", 1), ("u", "s", 1),
-         ("v", "u", 1), ("v", "v", 1), ("v", "s", 1),
-         ("z", "u", 1), ("z", "z", 1), ("z", "s", 1)],
-    ))
-
-
-def named_examples() -> dict:
-    """The worked examples used by the golden reports."""
-    return {
-        "g_2_3": loop_sink_graph(2, 3),
-        "g_1_3": loop_sink_graph(1, 3),
-        "t": make_t_graph(),
-        "cycle_2_2_1": cycle_companion_sandpile([2, 2, 1]),
-        "prime_z5": validate_sandpile(
-            WeightedDigraph(["x", "s"], [("x", "s", 1)] * 5)
-        ),
-    }

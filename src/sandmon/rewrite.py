@@ -19,7 +19,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import errors
-from .graph import SandpileGraph, WeightedDigraph, _decimal
+from .graph import SandpileGraph, WeightedDigraph, _decimal, _integer
 
 DEFAULT_STEP_BUDGET = 100_000
 MAX_RULES = 4000  # a completion with more rules raises CompletionOverflow
@@ -33,7 +33,7 @@ def config_from_counts(g: WeightedDigraph, counts) -> tuple:
     out = [0] * g.n_vertices
     named = set()
     for v, k in (counts.items() if isinstance(counts, Mapping) else counts):
-        k = int(k)
+        k = _integer(k, errors.BadParameters, f"count for {v!r}")
         if k < 0:
             raise errors.BadParameters(f"negative count for {v!r}")
         v = g._resolve(v)
@@ -77,7 +77,7 @@ def format_element(names, vec) -> str:
 
 
 def _check_config(g: WeightedDigraph, c) -> tuple:
-    c = tuple(int(k) for k in c)
+    c = tuple(_integer(k, errors.BadParameters, "configuration count") for k in c)
     if len(c) != g.n_vertices:
         raise errors.BadParameters(
             f"configuration has {len(c)} entries for {g.n_vertices} vertices"

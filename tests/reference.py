@@ -3,8 +3,8 @@
 Nothing in ``sandmon`` calls these: one-step firing and the potential that
 certifies termination, the plain rule completion, small monoid tables built
 by hand, dense matrix helpers that check Smith normal forms, graph families,
-the seeded corpus of random sandpile graphs and a strategy that draws small
-sandpile graphs.
+the worked examples that ``graphs/`` holds as files, the seeded corpus of
+random sandpile graphs and a strategy that draws small sandpile graphs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,14 @@ from math import prod
 from hypothesis import assume, strategies as st
 
 from sandmon import errors
-from sandmon.graph import SandpileGraph, WeightedDigraph, _sink_distances, validate_sandpile
+from sandmon.graph import (
+    SandpileGraph,
+    WeightedDigraph,
+    _sink_distances,
+    cycle_companion_sandpile,
+    loop_sink_graph,
+    validate_sandpile,
+)
 from sandmon.ktheory import _shape
 from sandmon.monoid import (
     FiniteCommMonoid,
@@ -416,6 +423,30 @@ def two_cycle_unions():
     """Unions of two cycles whose sandpile monoids have 128 elements."""
     return [multi_cycle_sandpile(classes) for classes in
             ([[2, 2, 2], [4, 2, 2]], [[2, 4], [4, 4]], [[8], [2, 2, 2, 2]])]
+
+
+def make_t_graph() -> SandpileGraph:
+    """Three mutually connected vertices (two with loops) all draining into
+    one sink; the quotient by the sink is the triangle with weight 3."""
+    return validate_sandpile(WeightedDigraph(
+        ["u", "v", "z", "s"],
+        [("u", "v", 1), ("u", "z", 1), ("u", "s", 1),
+         ("v", "u", 1), ("v", "v", 1), ("v", "s", 1),
+         ("z", "u", 1), ("z", "z", 1), ("z", "s", 1)],
+    ))
+
+
+def named_examples() -> dict:
+    """The worked examples used by the golden reports."""
+    return {
+        "g_2_3": loop_sink_graph(2, 3),
+        "g_1_3": loop_sink_graph(1, 3),
+        "t": make_t_graph(),
+        "cycle_2_2_1": cycle_companion_sandpile([2, 2, 1]),
+        "prime_z5": validate_sandpile(
+            WeightedDigraph(["x", "s"], [("x", "s", 1)] * 5)
+        ),
+    }
 
 
 def random_sandpile_corpus(count: int = 220, seed: int = 20260810) -> list:

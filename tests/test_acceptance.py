@@ -38,7 +38,6 @@ from sandmon.monoid import (
 from sandmon.realize import (
     conicality_report,
     cycle_suite,
-    make_t_graph,
     prime_order_case,
     realization,
 )
@@ -55,6 +54,7 @@ from reference import (
     diverging_graph,
     firing_path,
     is_atom_cancellative,
+    make_t_graph,
     mat_mul,
     monogenic_monoid,
     potential,

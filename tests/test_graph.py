@@ -21,14 +21,15 @@ from sandmon.graph import (
     weighted_cycle_graph,
 )
 from sandmon.monoid import enumerate_sandpile_monoid, monoid_isomorphic
-from sandmon.realize import make_t_graph
 from sandmon.rewrite import stabilize
 
 from reference import (
     chain_graph,
     graph_to_text,
     is_balanced,
+    make_t_graph,
     multi_cycle_sandpile,
+    named_examples,
     random_sandpile_corpus,
     rose_graph,
     shortest_sink_distances,
@@ -298,6 +299,13 @@ def test_constructor_bad_parameters():
         loop_sink_graph(1, 0)
     with pytest.raises(errors.BadParameters):
         multi_cycle_sandpile([[1, 1]])
+    # non-integers are refused, not truncated
+    for call in (lambda: loop_sink_graph(2.0, 3), lambda: loop_sink_graph(2, "3"),
+                 lambda: weighted_cycle_graph([2.5, 2]),
+                 lambda: cycle_companion_unweighted([2, 1.5]),
+                 lambda: cycle_companion_sandpile([2, "2"])):
+        with pytest.raises(errors.BadParameters):
+            call()
 
 
 def test_text_format_round_trip():
@@ -486,7 +494,7 @@ def test_validate_sandpile_reuses_the_parsed_graph(monkeypatch):
             not_sandpiles.append(path.name)
             continue
         raw.append(g)
-    assert not_sandpiles == ["rose_1_4.sg"] and len(raw) == 4
+    assert not_sandpiles == ["rose_1_4.sg"] and len(raw) == 5
     for sp in random_sandpile_corpus(count=40):
         # arbitrary weights and a carried weight, all replaced by validation
         edges = [(s, r, rng.randint(1, 3)) for s, r, _ in sp.edges]
@@ -679,15 +687,14 @@ def chain_sandpile(lengths):
 
 def test_graph_layer_matches_reference_on_the_graph_files():
     paths = sorted(GRAPHS.glob("*.sg")) + sorted(GOLDEN_INPUTS.glob("*.sg"))
-    assert len(paths) == 8
+    assert len(paths) == 9
     validated = [assert_graph_layer_matches_reference(p.read_text(encoding="utf-8"))
                  for p in paths]
     # rose_1_4 has no sink and weighted_sinks two
-    assert sum(g is not None for g in validated) == 6
+    assert sum(g is not None for g in validated) == 7
 
 
 def test_graph_layer_matches_reference_on_the_corpus_and_examples():
-    from sandmon.realize import named_examples
     graphs = random_sandpile_corpus() + list(named_examples().values())
     reducible = 0
     for g in graphs:

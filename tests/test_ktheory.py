@@ -29,12 +29,12 @@ from sandmon.ktheory import (
 )
 from sandmon.monoid import AbelianGroupInvariants, abelian_invariants, smallest_ideal
 from sandmon.monoid import enumerate_sandpile_monoid
-from sandmon.realize import make_t_graph
 
 from reference import (
     complete_graph,
     determinant,
     grid_graph,
+    make_t_graph,
     mat_mul,
     random_sandpile_corpus,
     rose_graph,
@@ -247,6 +247,14 @@ def test_sandpile_group_via_k0_rejects_non_conical():
 
 
 # ------------------------------------------------- the SNF diagonal alone
+
+
+def test_non_integer_entries_are_rejected():
+    for matrix in ([[2.5]], [[2, 0], [0, 3.0]], [["3"]], [[1, 0.5]]):
+        for f in (smith_diagonal, smith_normal_form, cokernel):
+            with pytest.raises(errors.BadParameters) as info:
+                f(matrix)
+            assert str(info.value) == "matrix entries must be integers"
 
 
 def test_ragged_matrices_are_rejected():

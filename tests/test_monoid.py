@@ -38,7 +38,6 @@ from sandmon.monoid import (
     smallest_ideal,
     units,
 )
-from sandmon.realize import make_t_graph, named_examples
 from sandmon.rewrite import (
     _stable_form,
     format_element,
@@ -56,7 +55,9 @@ from reference import (
     diverging_graph,
     grid_graph,
     is_atom_cancellative,
+    make_t_graph,
     monogenic_monoid,
+    named_examples,
     random_sandpile_corpus,
     reference_reduction_system,
     refine_equation,

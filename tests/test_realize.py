@@ -31,8 +31,6 @@ from sandmon.realize import (
     RefinementStructure,
     conicality_report,
     cycle_suite,
-    make_t_graph,
-    named_examples,
     prime_order_case,
     realization,
     refinement_structure,
@@ -41,7 +39,9 @@ from sandmon.realize import (
 from reference import (
     cyclic_group_monoid,
     graph_to_text,
+    make_t_graph,
     multi_cycle_sandpile,
+    named_examples,
     random_sandpile_corpus,
 )
 
@@ -363,7 +363,7 @@ def test_refinement_structure_checks_run_without_asserts(name):
     code = (
         "from sandmon import errors, realize\n"
         "from sandmon.graph import WeightedDigraph, validate_sandpile\n"
-        "from sandmon.realize import make_t_graph\n"
+        "from reference import make_t_graph\n"
         "realize.is_refinement = lambda M: (True, None)\n"
         f"g = {graph}\n"
         "try:\n"
@@ -371,7 +371,8 @@ def test_refinement_structure_checks_run_without_asserts(name):
         "except errors.CertificateFailed as exc:\n"
         "    print(exc)\n"
     )
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [str(SRC), str(TESTS),
+                                         os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120,
@@ -435,6 +436,13 @@ def test_cycle_suite_other_weights():
     assert report.ok and report.order == 6
     report = cycle_suite([4])
     assert report.ok and report.order == 4
+
+
+def test_cycle_suite_refuses_non_integer_weights():
+    for weights in ([2.9, 2], [2, 2.0], ["2", 2]):
+        with pytest.raises(errors.BadParameters) as info:
+            cycle_suite(weights)
+        assert "weight must be an integer" in str(info.value)
 
 
 def test_cycle_suite_rejects_all_ones():

@@ -26,13 +26,14 @@ from sandmon.rewrite import (
     stabilize,
     stabilize_weighted,
 )
-from sandmon.realize import make_t_graph, named_examples
 
 from reference import (
     chain_graph,
     diverging_graph,
     firing_path,
     grid_graph,
+    make_t_graph,
+    named_examples,
     potential,
     random_sandpile_corpus,
     reference_reduction_system,
@@ -155,6 +156,22 @@ def test_config_serialization():
     assert config_from_counts(G23, [("s", 2), (0, 1)]) == (1, 2)
     assert format_element(G23.names, (2, 1)) == "2x+s"
     assert format_element(G23.names, (0, 0)) == "0"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: config_from_counts(G23, {"x": 2.7}), "count for 'x' must be an integer, got 2.7"),
+    (lambda: config_from_counts(G23, {"x": "2"}), "count for 'x' must be an integer, got '2'"),
+    (lambda: stabilize(G23, (7.9, 0)), "configuration count must be an integer, got 7.9"),
+    (lambda: stabilize_weighted(rose_graph(1, 2), (3.0,)),
+     "configuration count must be an integer, got 3.0"),
+    (lambda: equivalent(G23, (5.5, 0), (2, 0)),
+     "configuration count must be an integer, got 5.5"),
+], ids=["config_from_counts", "config_from_counts-str", "stabilize", "stabilize_weighted",
+        "equivalent"])
+def test_non_integer_counts_are_refused_rather_than_truncated(call, message):
+    with pytest.raises(errors.BadParameters) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_r_transform_examples():
