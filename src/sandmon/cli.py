@@ -161,7 +161,7 @@ def _monoid_payload(M) -> dict:
     atom_list = monoid.atoms(M)
     refinement, witness = monoid.is_refinement(M)
     ideal = monoid.smallest_ideal(M)
-    invariants = monoid.abelian_invariants(ideal.group)
+    invariants = monoid.group_completion(M)
     cyclic = monoid.classify_cyclic_sum(M)
     return {
         "size": len(M),

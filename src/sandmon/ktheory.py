@@ -154,8 +154,8 @@ def smith_normal_form(A: Matrix):
 def smith_diagonal(A: Matrix) -> list:
     """The diagonal of the Smith normal form of A, exactly and without the
     transforms: ones, then the invariant factors above one in divisibility
-    order, then min(rows, columns) - rank zeros.  Only the entries that test
-    true are read: a non-integer one is BadParameters, and 0.0 reads as 0.
+    order, then min(rows, columns) - rank zeros.  A non-integer entry, None
+    among them, is BadParameters, and 0.0 reads as 0.
 
     The matrix is eliminated in sparse form, one pivot at a time, and each
     pivot adds one diagonal entry.  A +-1 pivot leaves a Schur complement
@@ -192,7 +192,10 @@ def smith_diagonal(A: Matrix) -> list:
         try:
             entries = {j: index(row[j]) for j in compress(range(n), row)}
         except TypeError:
-            raise errors.BadParameters("matrix entries must be integers") from None
+            entries = None
+        # the entries that test false are not read, so they must equal 0
+        if entries is None or len(entries) + row.count(0) < n:
+            raise errors.BadParameters("matrix entries must be integers")
         if entries:
             rows[i] = entries
             for j in entries:

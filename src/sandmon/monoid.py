@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
+from operator import itemgetter
 
 from . import errors
 from .graph import SandpileGraph, WeightedDigraph
@@ -277,7 +278,6 @@ def _first_witness(add, sol, decomps, gens, last: int):
 class SmallestIdeal:
     elements: list
     identity: int
-    group: FiniteCommMonoid
 
 
 def smallest_ideal(M: FiniteCommMonoid) -> SmallestIdeal:
@@ -285,10 +285,12 @@ def smallest_ideal(M: FiniteCommMonoid) -> SmallestIdeal:
     is a group (for sandpile monoids, the recurrent elements).  Cached on M.
 
     With s the sum of all elements, s + M lies inside every a + M, so the
-    intersection is the single translate s + M.  The result is certified:
-    its idempotent e satisfies e + M = s + M, and every ideal element has an
-    inverse with respect to e.  Then e + M is a group, so it lies inside
-    every ideal.  A table that fails the check raises CertificateFailed.
+    intersection is the single translate s + M.  The result is certified on
+    M's own table, with no table of the ideal: its idempotent e satisfies
+    e + M = s + M, every sum of two ideal elements lies in the ideal, and
+    every ideal element reaches e inside the ideal.  Then e + M is a group,
+    so it lies inside every ideal.  A table that fails the check raises
+    CertificateFailed.
     """
     cached = M._cache.get("smallest_ideal")
     if cached is not None:
@@ -304,24 +306,19 @@ def smallest_ideal(M: FiniteCommMonoid) -> SmallestIdeal:
         raise errors.CertificateFailed(
             "the intersection of all translates is not e + M for an idempotent e"
         )
-    pos = {x: i for i, x in enumerate(elements)}
-    try:
-        table = [[pos[add[x][y]] for y in elements] for x in elements]
-    except KeyError:
-        raise errors.CertificateFailed("the smallest ideal is not closed") from None
-    zero = pos[e]
-    if not all(zero in row for row in table):
-        raise errors.CertificateFailed(
-            f"an element of the smallest ideal has no inverse for {M.labels[e]}"
-        )
-    group = FiniteCommMonoid(
-        add=table,
-        zero=zero,
-        labels=[M.labels[x] for x in elements],
-        reps=[M.reps[x] for x in elements] if M.reps else None,
-    )
-    result = SmallestIdeal(elements=elements, identity=e, group=group)
-    M._cache["smallest_ideal"] = result
+    # itemgetter of one index returns no tuple; a one-element ideal {e}
+    # needs no check, as e + e = e
+    if len(elements) > 1:
+        within = itemgetter(*elements)
+        for x in elements:
+            sums = within(add[x])
+            if not ideal.issuperset(sums):
+                raise errors.CertificateFailed("the smallest ideal is not closed")
+            if e not in sums:
+                raise errors.CertificateFailed(
+                    f"an element of the smallest ideal has no inverse for {M.labels[e]}"
+                )
+    result = M._cache["smallest_ideal"] = SmallestIdeal(elements, e)
     return result
 
 
@@ -340,26 +337,31 @@ def _prime_factors(n: int) -> list:
 
 
 def abelian_invariants(group: FiniteCommMonoid) -> AbelianGroupInvariants:
-    """Invariant factors of a finite abelian group given by its table,
-    recovered from the kernel sizes of multiplication by prime powers."""
-    n = len(group)
+    """Invariant factors of a finite abelian group given by its table."""
+    return _invariants(group.add, range(len(group)), group.zero)
+
+
+def _invariants(add, elements, z: int) -> AbelianGroupInvariants:
+    """Invariant factors of the finite abelian group on ``elements``, with
+    identity z, under the table ``add``, recovered from the kernel sizes of
+    multiplication by prime powers.  A kernel size that is not a power of
+    its prime raises CertificateFailed."""
+    n = len(elements)
     if n == 1:
         return AbelianGroupInvariants((), 0)
-    add = group.add
-    z = group.zero
     exponents = {}
     for p in _prime_factors(n):
-        times_p = []
-        for y in range(n):
+        times_p = {}
+        for y in elements:
             acc = z
             for _ in range(p):
                 acc = add[acc][y]
-            times_p.append(acc)
+            times_p[y] = acc
         counts = [0]
-        current = list(range(n))
+        current = elements
         while True:
             current = [times_p[x] for x in current]
-            kernel = sum(1 for x in current if x == z)
+            kernel = current.count(z)
             c = 0
             k = kernel
             while k > 1:
@@ -380,20 +382,16 @@ def abelian_invariants(group: FiniteCommMonoid) -> AbelianGroupInvariants:
             per_p.extend([k] * (geq_k - geq_next))
         exponents[p] = sorted(per_p, reverse=True)
     t = max(len(v) for v in exponents.values())
-    factors = []
-    for j in range(t):
-        d = 1
-        for p, exps in exponents.items():
-            if j < len(exps):
-                d *= p ** exps[j]
-        factors.append(d)
+    factors = [prod(p ** exps[j] for p, exps in exponents.items() if j < len(exps))
+               for j in range(t)]
     return AbelianGroupInvariants(torsion=tuple(reversed(factors)), free_rank=0)
 
 
 def group_completion(M: FiniteCommMonoid) -> AbelianGroupInvariants:
     """Invariant factors of the group completion, read off the smallest
-    ideal (they coincide for finite commutative monoids)."""
-    return abelian_invariants(smallest_ideal(M).group)
+    ideal on M's table (they coincide for finite commutative monoids)."""
+    ideal = smallest_ideal(M)
+    return _invariants(M.add, ideal.elements, ideal.identity)
 
 
 def quotient_by_submonoid(M: FiniteCommMonoid, I) -> FiniteCommMonoid:

@@ -23,14 +23,12 @@ from .ktheory import _divisibility_chain, cokernel, k0_matrix, reduced_laplacian
 from .monoid import (
     AbelianGroupInvariants,
     _prime_factors,
-    abelian_invariants,
     enumerate_sandpile_monoid,
     enumerate_weighted_monoid,
     group_completion,
     is_refinement,
     monoid_isomorphic,
     quotient_by_submonoid,
-    smallest_ideal,
     units,
 )
 from .rewrite import format_element, stabilize
@@ -104,7 +102,7 @@ def realization(g: SandpileGraph, name=None) -> RealizationReport:
     sp = enumerate_sandpile_monoid(g)
     vm = enumerate_weighted_monoid(q, sink_relations=False)
     conical, witnesses = conicality_report(g)
-    ideal_invariants = abelian_invariants(smallest_ideal(sp).group)
+    ideal_invariants = group_completion(sp)
     vm_completion = group_completion(vm)
     laplacian_invariants = cokernel(reduced_laplacian(g))
     k0_invariants = cokernel(k0_matrix(q))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from functools import reduce
-from math import prod
+from math import gcd, prod
 
 from hypothesis import assume, strategies as st
 
@@ -161,6 +161,27 @@ def verify_monoid(M: FiniteCommMonoid):
             if row_xg != [row_x[t] for t in row_g]:
                 y = next(y for y in range(n) if row_xg[y] != row_x[row_g[y]])
                 raise ValueError(f"not associative at ({x}, {g}, {y})")
+
+
+def ideal_matches_invariants(M: FiniteCommMonoid, ideal, invariants) -> bool:
+    """Whether the smallest ideal of M, with its identity e, is the group
+    that ``invariants`` names.  The orders must agree, and for each divisor
+    k of the order n the elements x with k*x = e must number the product of
+    gcd(k, d) over the invariant factors d, as in Z/d1 + ... + Z/dr.  These
+    counts determine a finite abelian group whose exponent divides n.  The
+    multiples are read off M's table by adding x to e again and again."""
+    n, e = len(ideal.elements), ideal.identity
+    if invariants.order != n:
+        return False
+    killed = {k: 0 for k in range(1, n + 1) if n % k == 0}
+    for x in ideal.elements:
+        acc = e
+        for k in range(1, n + 1):
+            acc = M.add[acc][x]
+            if acc == e and k in killed:
+                killed[k] += 1
+    return all(count == prod(gcd(k, d) for d in invariants.torsion)
+               for k, count in killed.items())
 
 
 def refine_equation(M: FiniteCommMonoid, a: int, b: int, c: int, d: int):

@@ -54,6 +54,7 @@ from reference import (
     direct_sum_of_cyclic,
     diverging_graph,
     grid_graph,
+    ideal_matches_invariants,
     is_atom_cancellative,
     make_t_graph,
     monogenic_monoid,
@@ -189,9 +190,8 @@ def test_smallest_ideal_monogenic():
             x for x in range(index, index + period) if x % period == 0
         )
         assert ideal.identity == t
-        inv = abelian_invariants(ideal.group)
         expected = AbelianGroupInvariants((period,), 0) if period > 1 else AbelianGroupInvariants((), 0)
-        assert inv == expected
+        assert ideal_matches_invariants(m, ideal, expected)
 
 
 def test_smallest_ideal_of_group_is_everything():
@@ -531,6 +531,22 @@ def test_smallest_ideal_certificate_can_fail():
     # 3x + 3x = 4x leaves the ideal without an idempotent
     with pytest.raises(errors.CertificateFailed):
         smallest_ideal(corrupted_copy(sp, 3, 3, 4))
+    # 2x + 2x = 0 takes a sum of two ideal elements out of the ideal, while
+    # 3x is still idempotent and 3x + M is still the ideal
+    with pytest.raises(errors.CertificateFailed, match="not closed"):
+        smallest_ideal(corrupted_copy(sp, 2, 2, 0))
+
+
+def test_smallest_ideal_builds_no_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table of the ideal was built")
+
+    monoids = [enumerate_sandpile_monoid(g) for g in named_examples().values()]
+    monoids += [monogenic_monoid(3, 4), cyclic_group_monoid(6), trivial_monoid()]
+    monkeypatch.setattr(monoid, "FiniteCommMonoid", refuse)
+    for M in monoids:
+        ideal = smallest_ideal(M)
+        assert ideal_matches_invariants(M, ideal, group_completion(M))
 
 
 def test_smallest_ideal_certificate_runs_without_asserts():
