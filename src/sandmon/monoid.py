@@ -306,19 +306,17 @@ def smallest_ideal(M: FiniteCommMonoid) -> SmallestIdeal:
         raise errors.CertificateFailed(
             "the intersection of all translates is not e + M for an idempotent e"
         )
-    # itemgetter of one index returns no tuple; a one-element ideal {e}
-    # needs no check, as e + e = e
-    if len(elements) > 1:
-        within = itemgetter(*elements)
-        for x in elements:
-            sums = within(add[x])
-            if not ideal.issuperset(sums):
-                raise errors.CertificateFailed("the smallest ideal is not closed")
-            if e not in sums:
-                raise errors.CertificateFailed(
-                    f"an element of the smallest ideal has no inverse for {M.labels[e]}"
-                )
-    result = M._cache["smallest_ideal"] = SmallestIdeal(elements, e)
+    within = itemgetter(e, *elements)
+    for x in elements:
+        sums = within(add[x])
+        if not ideal.issuperset(sums):
+            raise errors.CertificateFailed("the smallest ideal is not closed")
+        if e not in sums:
+            raise errors.CertificateFailed(
+                f"an element of the smallest ideal has no inverse for {M.labels[e]}"
+            )
+    result = SmallestIdeal(elements, e)
+    M._cache["smallest_ideal"] = result
     return result
 
 
@@ -346,11 +344,8 @@ def _invariants(add, elements, z: int) -> AbelianGroupInvariants:
     identity z, under the table ``add``, recovered from the kernel sizes of
     multiplication by prime powers.  A kernel size that is not a power of
     its prime raises CertificateFailed."""
-    n = len(elements)
-    if n == 1:
-        return AbelianGroupInvariants((), 0)
     exponents = {}
-    for p in _prime_factors(n):
+    for p in _prime_factors(len(elements)):
         times_p = {}
         for y in elements:
             acc = z
@@ -381,9 +376,14 @@ def _invariants(add, elements, z: int) -> AbelianGroupInvariants:
             geq_next = counts[k + 1] - counts[k] if k + 1 < len(counts) else 0
             per_p.extend([k] * (geq_k - geq_next))
         exponents[p] = sorted(per_p, reverse=True)
-    t = max(len(v) for v in exponents.values())
-    factors = [prod(p ** exps[j] for p, exps in exponents.items() if j < len(exps))
-               for j in range(t)]
+    t = max((len(v) for v in exponents.values()), default=0)
+    factors = []
+    for j in range(t):
+        d = 1
+        for p, exps in exponents.items():
+            if j < len(exps):
+                d *= p ** exps[j]
+        factors.append(d)
     return AbelianGroupInvariants(torsion=tuple(reversed(factors)), free_rank=0)
 
 
