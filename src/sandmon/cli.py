@@ -227,15 +227,12 @@ def cmd_wmonoid(args) -> int:
         M = monoid.enumerate_weighted_monoid(g, sink_relations=sink_relations, cap=cap)
     except errors.Inconclusive as exc:
         note = None
-        try:
-            inv = ktheory.cokernel(ktheory.k0_matrix(g))
-            if inv.free_rank > 0:
-                note = (
-                    "advisory: the cokernel invariants have free rank "
-                    f"{inv.free_rank}, so the monoid is infinite"
-                )
-        except errors.SandmonError:
-            pass
+        inv = ktheory.cokernel(ktheory.k0_matrix(g))
+        if inv.free_rank > 0:
+            note = (
+                "advisory: the cokernel invariants have free rank "
+                f"{inv.free_rank}, so the monoid is infinite"
+            )
         payload = {
             "report": "wmonoid",
             "variant": args.variant,

@@ -103,34 +103,33 @@ class _Decompositions(dict):
     reads only some sums.
 
     Both parts of a pair divide t, and the divisors of t are the closure of
-    {t} under taking a generator off: the elements x with x + g = y for g
-    in the generating set ``gens`` and a divisor y, read off ``below``.
-    Only pairs of divisors are tried.  A build that would take the pairs
-    tried past n(n+1)/2, the size of the full table, fills the remaining
-    sums in one pass over all pairs instead, so no table costs more than
-    twice that pass: a group, whose every element divides every sum, would
-    otherwise try n^3 / 2 pairs."""
+    {t} under taking a generator off: the elements x with g + x = y for g
+    in the generating set ``gens`` and a divisor y, read off the solution
+    rows ``sol[g][y]`` (see ``_SolutionRows``).  Only pairs of divisors are
+    tried.  A build that would take the pairs tried past n(n+1)/2, the size
+    of the full table, fills the remaining sums in one pass over all pairs
+    instead, so no table costs more than twice that pass: a group, whose
+    every element divides every sum, would otherwise try n^3 / 2 pairs."""
 
-    def __init__(self, add, gens):
+    def __init__(self, add, sol, gens):
         super().__init__()
         self.add = add
+        self.sol = sol
         self.gens = gens
         n = len(add)
-        self.below = below = [[] for _ in range(n)]
-        for g in gens:
-            for x, y in enumerate(add[g]):
-                below[y].append(x)
         self.tries_left = n * (n + 1) // 2
 
     def __missing__(self, t):
-        below = self.below
+        rows = [self.sol[g] for g in self.gens]
         divisors = {t}
         frontier = [t]
         while frontier:
-            for x in below[frontier.pop()]:
-                if x not in divisors:
-                    divisors.add(x)
-                    frontier.append(x)
+            y = frontier.pop()
+            for row in rows:
+                for x in row.get(y, ()):
+                    if x not in divisors:
+                        divisors.add(x)
+                        frontier.append(x)
         k = len(divisors)
         if k * (k + 1) // 2 > self.tries_left:
             self._fill()
@@ -156,9 +155,9 @@ class _Decompositions(dict):
 
 def _decomps(M: FiniteCommMonoid):
     """The decompositions of M (see ``_Decompositions``) over
-    ``_generating_set(M)``, cached on M."""
+    ``_generating_set(M)``, read off ``_solutions(M)``, cached on M."""
     if "decomps" not in M._cache:
-        M._cache["decomps"] = _Decompositions(M.add, _generating_set(M))
+        M._cache["decomps"] = _Decompositions(M.add, _solutions(M), _generating_set(M))
     return M._cache["decomps"]
 
 
@@ -235,8 +234,8 @@ def is_refinement(M: FiniteCommMonoid):
     """
     if classify_cyclic_sum(M) is not None or len(units(M)) == len(M):
         return True, None
-    add, sol, decomps = M.add, _solutions(M), _decomps(M)
-    gens = decomps.gens
+    add, decomps = M.add, _decomps(M)
+    sol, gens = decomps.sol, decomps.gens
     for t in range(len(M)):
         pairs = decomps[t]
         for x in gens:
@@ -274,9 +273,9 @@ def _first_witness(add, sol, decomps, gens, last: int):
 # -------------------------------------------------------------- group structure
 
 
-@dataclass
+@dataclass(frozen=True)
 class SmallestIdeal:
-    elements: list
+    elements: tuple
     identity: int
 
 
@@ -300,7 +299,7 @@ def smallest_ideal(M: FiniteCommMonoid) -> SmallestIdeal:
     for a in range(len(M)):
         s = add[s][a]
     ideal = set(add[s])
-    elements = sorted(ideal)
+    elements = tuple(sorted(ideal))
     e = next((x for x in elements if add[x][x] == x), None)
     if e is None or set(add[e]) != ideal:
         raise errors.CertificateFailed(
@@ -623,35 +622,37 @@ def _check_cap(cap: int) -> int:
 def _closure_monoid(names, step, key, cap: int) -> FiniteCommMonoid:
     """The monoid of the normal forms that ``step(x, v)``, the normal form
     of x + e_v, reaches from zero, sorted by ``key`` (None sorts the tuples
-    themselves).  Past ``cap`` elements it raises Inconclusive with the
-    labels found so far.
+    themselves), which must put zero first.  Past ``cap`` elements it
+    raises Inconclusive with the labels found so far.
 
-    The closure search records act[v][x] = step(x, v).  The normal forms are
-    canonical and form a down-set, so for x nonzero and v its last nonzero
-    coordinate, x - e_v is an element, which ``key`` must put before x.
-    Row 0 is the identity, and row x is act[v] applied to row x - e_v, as
-    nf(x + y) = nf(nf(x - e_v + y) + e_v).  That is at most |M|*n steps,
-    not |M|^2 / 2: a generator with step(0, v) = 0 acts as the identity, so
+    The closure search records act[v][x] = step(x, v), and for each element
+    x the step x = step(y, v) that first found it.  Row 0 is the identity,
+    and row x is act[v] applied to row y, as the normal forms are canonical:
+    nf(x + z) = nf(nf(y + z) + e_v).  The rows are built in the order found,
+    so row y is built before row x.  That is at most |M|*n steps, not
+    |M|^2 / 2: a generator with step(0, v) = 0 acts as the identity, so
     only zero is stepped with it.
     """
     zero = (0,) * len(names)
     # the loop also visits the elements it appends
     found = [zero]
     index = {zero: 0}
+    parents = [None]
     act = [[] for _ in names]
     moving = list(enumerate(act))
-    for rep in found:
+    for y, rep in enumerate(found):
         for v, row in moving:
-            y = step(rep, v)
-            x = index.get(y)
+            z = step(rep, v)
+            x = index.get(z)
             if x is None:
                 if len(found) >= cap:
                     raise errors.Inconclusive(
                         f"more than {cap} elements discovered",
                         partial_labels=sorted(format_element(names, u) for u in found),
                     )
-                x = index[y] = len(found)
-                found.append(y)
+                x = index[z] = len(found)
+                found.append(z)
+                parents.append((y, v))
             row.append(x)
         if rep is zero:
             # a generator with nf(e_v) = 0 acts as the identity
@@ -659,21 +660,18 @@ def _closure_monoid(names, step, key, cap: int) -> FiniteCommMonoid:
     elements = sorted(found, key=key)
     order = [index[rep] for rep in elements]
     pos = {x: i for i, x in enumerate(order)}
-    # act in sorted indices, on both sides; an identity row holds only its
-    # step from zero, which is zero
-    act = [[pos[row[x]] for x in order] if row[0] else list(range(len(order)))
-           for row in act]
-    table = [list(range(len(elements)))]
-    for rep in elements[1:]:
-        v = len(rep) - 1
-        while not rep[v]:
-            v -= 1
-        below = index[rep[:v] + (rep[v] - 1,) + rep[v + 1:]]
+    generators = {name: pos[row[0]] for name, row in zip(names, act)}
+    # each row in found order, with the moving generators' steps in sorted
+    # indices on both sides
+    act = {v: [pos[row[x]] for x in order] for v, row in moving}
+    rows = [list(range(len(order)))]
+    for y, v in parents[1:]:
         row = act[v]
-        table.append([row[z] for z in table[pos[below]]])
+        rows.append([row[z] for z in rows[y]])
     return FiniteCommMonoid(
-        add=table, zero=0, labels=[format_element(names, rep) for rep in elements],
-        reps=elements, generators={name: row[0] for name, row in zip(names, act)},
+        add=[rows[x] for x in order], zero=0,
+        labels=[format_element(names, rep) for rep in elements],
+        reps=elements, generators=generators,
     )
 
 

@@ -184,7 +184,7 @@ def test_smallest_ideal_monogenic():
     for index, period in [(1, 3), (2, 3), (3, 4)]:
         m = monogenic_monoid(index, period)
         ideal = smallest_ideal(m)
-        assert ideal.elements == list(range(index, index + period))
+        assert ideal.elements == tuple(range(index, index + period))
         # identity is the unique multiple of the period in the ideal range
         t = next(
             x for x in range(index, index + period) if x % period == 0
@@ -197,7 +197,7 @@ def test_smallest_ideal_monogenic():
 def test_smallest_ideal_of_group_is_everything():
     z6 = cyclic_group_monoid(6)
     ideal = smallest_ideal(z6)
-    assert ideal.elements == list(range(6))
+    assert ideal.elements == tuple(range(6))
     assert ideal.identity == 0
 
 
@@ -505,9 +505,32 @@ def test_sandpile_enumeration_stabilises_only_a_grain_that_tops_a_digit(monkeypa
     assert identities >= 3
 
 
+def test_closure_rows_need_no_down_set():
+    # stepping by 2 mod 8 reaches 0, 2, 4 and 6 only, so x - e_x is not an
+    # element: each row is read off the step that found it instead
+    M = monoid._closure_monoid(["x"], lambda x, v: ((x[0] + 2) % 8,), None, 10)
+    z4 = cyclic_group_monoid(4)
+    assert (M.add, M.zero) == (z4.add, z4.zero)
+    assert M.reps == [(0,), (2,), (4,), (6,)]
+    assert M.generators == {"x": 1}
+
+
 def test_smallest_ideal_is_cached():
     for M in [enumerate_sandpile_monoid(make_t_graph()), monogenic_monoid(2, 3)]:
         assert smallest_ideal(M) is smallest_ideal(M)
+
+
+def test_cached_smallest_ideal_cannot_be_changed():
+    # the ideal of {0, x, 2x, 3x, 4x} with 5x = 2x is Z/3
+    sp = enumerate_sandpile_monoid(loop_sink_graph(2, 3))
+    ideal = smallest_ideal(sp)
+    with pytest.raises(AttributeError):
+        ideal.elements.append(0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ideal.elements = [0, 2, 3, 4]
+    assert smallest_ideal(sp) == monoid.SmallestIdeal((2, 3, 4), 3)
+    assert group_completion(sp) == AbelianGroupInvariants((3,), 0)
+    assert ideal_matches_invariants(sp, smallest_ideal(sp), group_completion(sp))
 
 
 def corrupted_copy(M, a, b, value):
@@ -523,7 +546,7 @@ def test_smallest_ideal_certificate_can_fail():
     # identity 3x, and 2x + 4x = 3x is the only inverse pair for 2x in it
     sp = enumerate_sandpile_monoid(loop_sink_graph(2, 3))
     ideal = smallest_ideal(sp)
-    assert (ideal.elements, ideal.identity) == ([2, 3, 4], 3)
+    assert (ideal.elements, ideal.identity) == ((2, 3, 4), 3)
     assert sp.add[2][4] == 3
     broken = corrupted_copy(sp, 2, 4, 2)
     with pytest.raises(errors.CertificateFailed, match="no inverse"):
