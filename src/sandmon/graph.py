@@ -221,6 +221,13 @@ class SandpileGraph(WeightedDigraph):
 
 # ------------------------------------------------------------------ validation
 
+def _require_sandpile(g, caller: str) -> None:
+    """BadParameters unless ``g`` is a validated sandpile graph, whose one
+    sink and termination ``caller`` relies on."""
+    if not isinstance(g, SandpileGraph):
+        raise errors.BadParameters(f"{caller} needs a validated sandpile graph")
+
+
 def _out_degree_weighted(g: WeightedDigraph) -> tuple:
     """g's edges, each weighted by its source's out-degree: ``g.edges``
     itself when every weight already is."""

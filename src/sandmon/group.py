@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import prod
 
 from . import errors
-from .graph import SandpileGraph
+from .graph import SandpileGraph, _require_sandpile
 from .ktheory import cokernel, reduced_laplacian
 from .monoid import AbelianGroupInvariants
 from .rewrite import format_element, stabilize
@@ -52,6 +52,7 @@ def sandpile_group(g: SandpileGraph) -> SandpileGroup:
     A recurrent configuration in the toppling lattice is the identity of I,
     and |I| is the cokernel's order, whose invariants are reported.
     """
+    _require_sandpile(g, "sandpile_group")
     non_sink = g.non_sink_vertices()
     c_max = [0] * g.n_vertices
     for v in non_sink:

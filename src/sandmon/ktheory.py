@@ -17,6 +17,7 @@ from . import errors
 from .graph import (
     SandpileGraph,
     WeightedDigraph,
+    _require_sandpile,
     conical_violations,
     non_cycle_vertices,
     quotient_graph,
@@ -375,6 +376,7 @@ def reduced_laplacian(g: SandpileGraph) -> Matrix:
     grains v loses when it fires: its out-degree at v, less one per edge
     from v to each non-sink vertex (so loops cancel).  Its cokernel is the
     sandpile group (Dhar 1990; Speer 1993 for directed graphs)."""
+    _require_sandpile(g, "reduced_laplacian")
     where = {v: i for i, v in enumerate(g.non_sink_vertices())}
     L = [[0] * len(where) for _ in where]
     for s, r, _ in g.edges:
@@ -389,6 +391,7 @@ def sandpile_k0_matrix(g: SandpileGraph) -> Matrix:
     """The k0 matrix of the quotient of ``g`` by its no-cycle vertex set,
     whose cokernel is the sandpile group.  Raises NotConical, naming the
     witnessing vertices, unless ``g`` is conical."""
+    _require_sandpile(g, "sandpile_k0_matrix")
     bad = conical_violations(g)
     if bad:
         raise errors.NotConical([g.names[v] for v in bad])

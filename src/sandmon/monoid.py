@@ -9,17 +9,13 @@ exhaustive, so a negative answer at this scale is a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from math import prod
 from operator import itemgetter
 
 from . import errors
-from .graph import SandpileGraph, WeightedDigraph
-from .rewrite import (
-    CompletionOverflow,
-    _stable_form,
-    format_element,
-    reduction_system,
-)
+from .graph import SandpileGraph, WeightedDigraph, _require_sandpile
+from .rewrite import CompletionOverflow, format_element, reduction_system
 
 DEFAULT_SANDPILE_CAP = 4096
 DEFAULT_WEIGHTED_CAP = 10 ** 4
@@ -619,19 +615,19 @@ def _check_cap(cap: int) -> int:
     return cap
 
 
-def _closure_monoid(names, step, key, cap: int) -> FiniteCommMonoid:
+def _closure_monoid(names, step, cap: int) -> FiniteCommMonoid:
     """The monoid of the normal forms that ``step(x, v)``, the normal form
-    of x + e_v, reaches from zero, sorted by ``key`` (None sorts the tuples
-    themselves), which must put zero first.  Past ``cap`` elements it
-    raises Inconclusive with the labels found so far.
+    of x + e_v, reaches from zero, in graded order: number of grains, then
+    lexicographic.  Past ``cap`` elements it raises Inconclusive with the
+    labels found so far.
 
     The closure search records act[v][x] = step(x, v), and for each element
     x the step x = step(y, v) that first found it.  Row 0 is the identity,
     and row x is act[v] applied to row y, as the normal forms are canonical:
     nf(x + z) = nf(nf(y + z) + e_v).  The rows are built in the order found,
-    so row y is built before row x.  That is at most |M|*n steps, not
-    |M|^2 / 2: a generator with step(0, v) = 0 acts as the identity, so
-    only zero is stepped with it.
+    so row y is built before row x, and the normal forms need not form a
+    down-set.  That is at most |M|*n steps, not |M|^2 / 2: a generator with
+    step(0, v) = 0 acts as the identity, so only zero is stepped with it.
     """
     zero = (0,) * len(names)
     # the loop also visits the elements it appends
@@ -657,7 +653,7 @@ def _closure_monoid(names, step, key, cap: int) -> FiniteCommMonoid:
         if rep is zero:
             # a generator with nf(e_v) = 0 acts as the identity
             moving = [(v, row) for v, row in moving if row[0]]
-    elements = sorted(found, key=key)
+    elements = sorted(found, key=lambda rep: (sum(rep), rep))
     order = [index[rep] for rep in elements]
     pos = {x: i for i, x in enumerate(order)}
     generators = {name: pos[row[0]] for name, row in zip(names, act)}
@@ -675,36 +671,109 @@ def _closure_monoid(names, step, key, cap: int) -> FiniteCommMonoid:
     )
 
 
+def _sandpile_action(g: SandpileGraph, places: list, index: list) -> list:
+    """act[v][x], the index of stab(x + e_v), for each non-sink v and each
+    stable configuration x, indexed in mixed radix with place value
+    ``places[v]`` for v's digit x_v; None for the sink.  The entries are
+    the int objects of ``index``, ``range(|M|)`` as a list, so that a table
+    built from them holds one int object per element.
+
+    Below the top digit, x + e_v is stable: act[v][x] = x + places[v].  At
+    x_v = d_v - 1, x + e_v fires v once, which leaves x - (d_v - 1) e_v
+    plus a grain on each non-sink out-target t of v, loops and parallel
+    edges counted with multiplicity.  Those grains are added one at a time
+    through act[t], as stab(a + e_t + e_u) = stab(stab(a + e_t) + e_u).  An
+    entry that is not known yet is resolved first, on an explicit stack.
+    Every pending entry is one topple of a legal firing sequence of x + e_v,
+    and on a sandpile graph every such sequence is finite (its reduced
+    Laplacian is nonsingular), so no entry waits on itself.
+    """
+    sink, size = g.sink, len(index)
+    tops = [g.out_degree(v) - 1 for v in range(g.n_vertices)]
+    fired = [[t for t in targets if t != sink] for targets in g.out_targets]
+    act = [None] * g.n_vertices
+    for v, place in enumerate(places):
+        if v != sink:
+            # x + place, or past the end where x_v is top anyway
+            row = act[v] = index[place:] + [None] * place
+            hole = [None] * place
+            for x in range(tops[v] * place, size, (tops[v] + 1) * place):
+                row[x:x + place] = hole
+    for v, row in enumerate(act):
+        if row is None:
+            continue
+        for x in range(size):
+            if row[x] is not None:
+                continue
+            stack = [(v, x, x - tops[v] * places[v], 0)]
+            while stack:
+                u, y, z, i = stack.pop()
+                targets = fired[u]
+                for i in range(i, len(targets)):
+                    t = targets[i]
+                    w = act[t][z]
+                    if w is None:
+                        # resolve (t, z) first, then resume at target i
+                        stack.append((u, y, z, i))
+                        stack.append((t, z, z - tops[t] * places[t], 0))
+                        break
+                    z = w
+                else:
+                    act[u][y] = index[z]
+    return act
+
+
 def enumerate_sandpile_monoid(g: SandpileGraph,
                               cap: int = DEFAULT_SANDPILE_CAP) -> FiniteCommMonoid:
     """All stable configurations under add-then-stabilise with the sink
     absorbing, in lexicographic order: mixed radix, the non-sink out-degrees
     d_v as radices.  Their number, the product of the d_v, is checked
-    against ``cap`` before any step.
+    against ``cap`` before any table work.
 
-    By the abelian property (Dhar 1990) the stable form of x + e_v is the
-    normal form.  A grain that leaves v below d_v needs no firing, so only
-    |M| / d_v steps for each non-sink v stabilise.
+    By the abelian property (Dhar 1990; Bjorner, Lovasz and Shor 1991) the
+    elements and their order are known before any step: element x is its
+    mixed-radix index, and the sum of x and y is the stable form of their
+    configurations' sum.  The action table ``_sandpile_action`` gives the
+    index of x + e_v for each non-sink v; no configuration is stabilised.
+    Row 0 is the identity, and row x is act[v] applied to row x - R_v, for
+    v the last non-sink vertex with x_v > 0 and R_v its place value:
+    stab(x + z) = stab(stab((x - e_v) + z) + e_v).  The sink's generator is
+    zero, as the sink absorbs.
     """
+    _require_sandpile(g, "enumerate_sandpile_monoid")
     size = prod(g.out_degree(v) for v in g.non_sink_vertices())
     if size > _check_cap(cap):
         raise errors.SizeOverBudget(
             f"sandpile monoid has {size} elements, cap is {cap}"
         )
-    tops = [g.out_degree(v) - 1 for v in range(g.n_vertices)]
     sink = g.sink
-
-    def step(x, v):
-        if x[v] < tops[v]:
-            return x[:v] + (x[v] + 1,) + x[v + 1:]
-        if v == sink:
-            # a grain on the sink is absorbed
-            return x
-        config = list(x)
-        config[v] += 1
-        return _stable_form(g, config, sink_absorbing=True)
-
-    return _closure_monoid(g.names, step, None, size)
+    radices = [1 if v == sink else g.out_degree(v) for v in range(g.n_vertices)]
+    places = [0] * g.n_vertices
+    place = 1
+    for v in reversed(range(g.n_vertices)):
+        if v != sink:
+            places[v] = place
+            place *= radices[v]
+    index = list(range(size))
+    act = _sandpile_action(g, places, index)
+    # least significant first, without the digits that are always zero
+    last = [(v, places[v], radices[v]) for v in reversed(range(g.n_vertices))
+            if radices[v] > 1]
+    rows = [index]
+    for x in range(1, size):
+        for v, place, radix in last:
+            if x // place % radix:
+                break
+        row = act[v]
+        rows.append([row[z] for z in rows[x - place]])
+    reps = list(product(*(range(d) for d in radices)))
+    return FiniteCommMonoid(
+        add=rows, zero=0,
+        labels=[format_element(g.names, rep) for rep in reps],
+        reps=reps,
+        generators={name: 0 if row is None else row[0]
+                    for name, row in zip(g.names, act)},
+    )
 
 
 def enumerate_weighted_monoid(g: WeightedDigraph, sink_relations: bool = True,
@@ -727,5 +796,4 @@ def enumerate_weighted_monoid(g: WeightedDigraph, sink_relations: bool = True,
         raise errors.Inconclusive(
             f"rule completion exceeded its budget ({exc})", partial_labels=None
         ) from None
-    return _closure_monoid(g.names, rs.add_generator,
-                           lambda rep: (sum(rep), rep), cap)
+    return _closure_monoid(g.names, rs.add_generator, cap)

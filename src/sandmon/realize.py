@@ -11,6 +11,7 @@ from . import errors
 from .graph import (
     SandpileGraph,
     _check_cycle_weights,
+    _require_sandpile,
     conical_violations,
     cycle_companion_sandpile,
     cycle_companion_unweighted,
@@ -97,6 +98,7 @@ def realization(g: SandpileGraph, name=None) -> RealizationReport:
     cokernel of the reduced Laplacian and the cokernel of the quotient's k0
     matrix.
     """
+    _require_sandpile(g, "realization")
     S = non_cycle_vertices(g)
     q = quotient_graph(g, S)
     sp = enumerate_sandpile_monoid(g)
@@ -195,6 +197,7 @@ def refinement_structure(g: SandpileGraph):
     is enumerated only to find the witness, and a refinement verdict there
     raises CertificateFailed naming where the cycle structure fails.
     """
+    _require_sandpile(g, "refinement_structure")
     if not g.is_reduced():
         raise errors.NotReduced("graph has irrelevant vertices; reduce it first")
     conical, witnesses = conicality_report(g)

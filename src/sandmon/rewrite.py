@@ -19,7 +19,13 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import errors
-from .graph import SandpileGraph, WeightedDigraph, _decimal, _integer
+from .graph import (
+    SandpileGraph,
+    WeightedDigraph,
+    _decimal,
+    _integer,
+    _require_sandpile,
+)
 
 DEFAULT_STEP_BUDGET = 100_000
 MAX_RULES = 4000  # a completion with more rules raises CompletionOverflow
@@ -172,8 +178,7 @@ def stabilize(g: SandpileGraph, c, sink_absorbing: bool = True) -> Stabilization
     otherwise sink grains accumulate.  Termination is guaranteed on sandpile
     graphs, so no budget applies.
     """
-    if not isinstance(g, SandpileGraph):
-        raise errors.BadParameters("stabilize needs a validated sandpile graph")
+    _require_sandpile(g, "stabilize")
     counts = list(_check_config(g, c))
     odometer = [0] * g.n_vertices
     steps, _ = _fire(g, counts, odometer)

@@ -21,6 +21,8 @@ from sandmon.graph import (
     validate_sandpile,
     weighted_cycle_graph,
 )
+from sandmon.group import sandpile_group
+from sandmon.ktheory import reduced_laplacian, sandpile_k0_matrix
 from sandmon.monoid import (
     DEFAULT_SANDPILE_CAP,
     DEFAULT_WEIGHTED_CAP,
@@ -38,6 +40,7 @@ from sandmon.monoid import (
     smallest_ideal,
     units,
 )
+from sandmon.realize import realization, refinement_structure
 from sandmon.rewrite import (
     _stable_form,
     format_element,
@@ -470,45 +473,68 @@ def test_default_sandpile_cap(monkeypatch):
     def refuse(*args, **kwargs):
         raise BuildStarted
 
-    monkeypatch.setattr(monoid, "_stable_form", refuse)
+    monkeypatch.setattr(monoid, "_sandpile_action", refuse)
     # 4^6 = 4096 elements: within the cap, so the build starts
     with pytest.raises(BuildStarted):
         enumerate_sandpile_monoid(grid_graph(2, 3))
-    # 4^7 elements: refused before any stabilisation; only the monoid
+    # 4^7 elements: refused before the action table; only the monoid
     # command, which has the flag, names --cap
     with pytest.raises(errors.SizeOverBudget,
                        match=r"^sandpile monoid has 16384 elements, cap is 4096$"):
         enumerate_sandpile_monoid(grid_graph(1, 7))
 
 
-def test_sandpile_enumeration_stabilises_only_a_grain_that_tops_a_digit(monkeypatch):
-    """A grain that leaves v below its out-degree d_v needs no firing, so
-    the enumeration stabilises once for each configuration with d_v - 1
-    grains on v: |M| / d_v times for each non-sink v.  A vertex whose grain
-    stabilises to zero acts as the identity and is stabilised from zero
-    alone.  The pairwise reference sees the table, not what it cost."""
-    calls = []
+def test_sandpile_tables_need_no_firing_kernel(monkeypatch):
+    """The elements and their order are known before any step, and every
+    entry of the action table is an index sum or a chain of earlier
+    entries, so no configuration is stabilised.  The pairwise reference,
+    which stabilises every sum, checks the tables afterwards."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the firing kernel ran")
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return _stable_form(*args, **kwargs)
+    graphs = [grid_graph(2, 2), complete_graph(5)] + random_sandpile_corpus(count=20)
+    monkeypatch.setattr(rewrite, "_fire", refuse)
+    monoids = [enumerate_sandpile_monoid(g) for g in graphs]
+    monkeypatch.undo()
+    for g, M in zip(graphs, monoids):
+        table, reps, labels, gens = reference_sandpile_table(g)
+        assert (M.add, M.reps, M.labels, M.generators) == (table, reps, labels, gens)
+    # vertices whose grain stabilises to zero act as the identity
+    assert sum(M.generators[g.names[v]] == M.zero
+               for g, M in zip(graphs, monoids) for v in g.non_sink_vertices()) >= 3
 
-    monkeypatch.setattr(monoid, "_stable_form", counted)
-    identities = 0
-    for g in [grid_graph(2, 2), complete_graph(5)] + random_sandpile_corpus(count=20):
-        calls.clear()
-        M = enumerate_sandpile_monoid(g)
-        idle = [M.generators[g.names[v]] == M.zero for v in g.non_sink_vertices()]
-        assert len(calls) == sum(1 if i else len(M) // g.out_degree(v)
-                                 for v, i in zip(g.non_sink_vertices(), idle))
-        identities += sum(idle)
-    assert identities >= 3
+
+def test_deep_cascades_at_the_cap():
+    """On the 12-cycle with one sink edge at each vertex, a grain on a full
+    cycle topples every vertex: the action table resolves chains of up to
+    twelve pending entries.  Each generator column is one stabilisation."""
+    g = cycle_companion_sandpile([2] * 12)
+    M = enumerate_sandpile_monoid(g)
+    assert len(M) == DEFAULT_SANDPILE_CAP
+    index = {rep: x for x, rep in enumerate(M.reps)}
+    for v in g.non_sink_vertices():
+        gen = M.generators[g.names[v]]
+        e_v = [int(u == v) for u in range(g.n_vertices)]
+        for x, rep in enumerate(M.reps):
+            total = [a + b for a, b in zip(rep, e_v)]
+            assert M.add[x][gen] == index[_stable_form(g, total)]
+
+
+@pytest.mark.parametrize("fn", [
+    enumerate_sandpile_monoid, sandpile_group, realization, refinement_structure,
+    reduced_laplacian, sandpile_k0_matrix,
+], ids=lambda fn: fn.__name__)
+def test_sandpile_only_entry_points_refuse_a_plain_graph(fn):
+    g = WeightedDigraph(["x", "s"], [("x", "x", 1), ("x", "s", 1)])
+    with pytest.raises(errors.BadParameters,
+                       match=rf"^{fn.__name__} needs a validated sandpile graph$"):
+        fn(g)
 
 
 def test_closure_rows_need_no_down_set():
     # stepping by 2 mod 8 reaches 0, 2, 4 and 6 only, so x - e_x is not an
     # element: each row is read off the step that found it instead
-    M = monoid._closure_monoid(["x"], lambda x, v: ((x[0] + 2) % 8,), None, 10)
+    M = monoid._closure_monoid(["x"], lambda x, v: ((x[0] + 2) % 8,), 10)
     z4 = cyclic_group_monoid(4)
     assert (M.add, M.zero) == (z4.add, z4.zero)
     assert M.reps == [(0,), (2,), (4,), (6,)]

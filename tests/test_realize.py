@@ -409,6 +409,7 @@ def refuse_tables(monkeypatch):
         raise AssertionError("a monoid table was built")
 
     monkeypatch.setattr(monoid, "_closure_monoid", refuse)
+    monkeypatch.setattr(monoid, "_sandpile_action", refuse)
 
 
 def test_prime_order_case_builds_no_table_at_any_p(monkeypatch):
