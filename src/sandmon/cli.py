@@ -87,7 +87,18 @@ def _emit(args, payload: dict, text_lines) -> None:
 
 
 def _load_graph(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    """Parse the graph file at ``path``.  A file that is not UTF-8 raises
+    GraphFormatError naming the line of its first undecodable byte, with
+    lines ending at \\n, \\r\\n or \\r as ``parse_graph`` counts them."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        lineno = before.count(b"\n") + 1
+        raise errors.GraphFormatError(
+            f"line {lineno}: byte 0x{data[exc.start]:02x} is not UTF-8"
+        ) from None
     return parse_graph(text)
 
 

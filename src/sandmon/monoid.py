@@ -68,28 +68,58 @@ class FiniteCommMonoid:
 def units(M: FiniteCommMonoid) -> list:
     """Elements with an additive inverse.  In a commutative monoid they are
     closed under addition ((a + b) + (a' + b') = 0), so they form an abelian
-    group.  Cached on M; the caller gets a fresh list."""
+    group.  Cached on M; the caller gets a fresh list.
+
+    A sum is a unit exactly when each summand is: a + b + c = 0 gives a the
+    inverse b + c.  So the units are the sums of the unit generators in
+    ``_generating_set(M)``, the g with 0 in g's row.  They are closed from
+    zero, one step per unit and unit generator, after one scan of each
+    generator's row: O(n |M|) for n generators, not a scan of every row."""
     cached = M._cache.get("units")
     if cached is None:
-        z = M.zero
-        cached = M._cache["units"] = [a for a, row in enumerate(M.add) if z in row]
+        add, z = M.add, M.zero
+        unit_gens = [g for g in _generating_set(M) if z in add[g]]
+        closed = {z}
+        order = [z]
+        for a in order:
+            row = add[a]
+            for g in unit_gens:
+                b = row[g]
+                if b not in closed:
+                    closed.add(b)
+                    order.append(b)
+        cached = M._cache["units"] = sorted(closed)
     return list(cached)
 
 
 def atoms(M: FiniteCommMonoid) -> list:
     """Nonzero elements with no decomposition into two nonzero parts.
-    Cached on M; the caller gets a fresh list."""
+    Cached on M; the caller gets a fresh list.
+
+    Every atom is in ``_generating_set(M)``: write any other nonzero x as a
+    shortest sum g + a of generators, g one of them; a is nonzero, or
+    x = g would be a generator.  A generator g decomposes exactly when
+    g = h + c for a generator h and a nonzero c, read off the rows of the
+    generators, or when a unit b other than 0 and g exists, as
+    g = (g - b) + b.  Conversely, if g = a + b with a and b nonzero, write
+    a = h + a' with h a generator: g = h + (a' + b), and a' + b = 0 makes b
+    a unit, other than g as a + g = g would give a = 0.  Such a b exists
+    for every g when M has three or more units, so then there is no atom.
+    With two units 0 and u, each generator g other than u is u + (g + u),
+    which u's row shows.  O(n |M|) for n generators, not a scan of the
+    whole table."""
     cached = M._cache.get("atoms")
     if cached is None:
-        n = len(M)
-        z = M.zero
-        decomposable = set()
-        for a, row in enumerate(M.add):
-            if a != z:
-                decomposable.update(row[:z], row[z + 1:])
-        cached = M._cache["atoms"] = [
-            x for x in range(n) if x != z and x not in decomposable
-        ]
+        add, z = M.add, M.zero
+        cached = []
+        if len(units(M)) <= 2:
+            gens = _generating_set(M)
+            sums = set()
+            for h in gens:
+                row = add[h]
+                sums.update(row[:z], row[z + 1:])
+            cached = [g for g in gens if g not in sums]
+        M._cache["atoms"] = cached
     return list(cached)
 
 
@@ -460,26 +490,30 @@ def _generating_set(M: FiniteCommMonoid) -> list:
     """The elements, in index order, that the earlier ones do not generate.
     A new generator x is added to every element generated so far, and each
     element reached is added to every generator, so each element costs one
-    step per generator."""
-    n, add = len(M), M.add
-    gens = []
-    closed = {M.zero}
-    for x in range(n):
-        if x in closed:
-            continue
-        gens.append(x)
-        frontier = [add[a][x] for a in closed]
-        while frontier:
-            a = frontier.pop()
-            if a not in closed:
-                if not 0 <= a < n:
-                    raise errors.CertificateFailed(
-                        f"a sum of {gens} is {a!r}, which names no element"
-                    )
-                closed.add(a)
-                row = add[a]
-                frontier.extend(row[g] for g in gens)
-    return gens
+    step per generator.  Cached on M; the caller gets a fresh list."""
+    cached = M._cache.get("generating_set")
+    if cached is None:
+        n, add = len(M), M.add
+        gens = []
+        closed = {M.zero}
+        for x in range(n):
+            if x in closed:
+                continue
+            gens.append(x)
+            # x twice, so that one generator still gives a tuple
+            plus_gens = itemgetter(x, *gens)
+            frontier = [add[a][x] for a in closed]
+            while frontier:
+                a = frontier.pop()
+                if a not in closed:
+                    if not 0 <= a < n:
+                        raise errors.CertificateFailed(
+                            f"a sum of {gens} is {a!r}, which names no element"
+                        )
+                    closed.add(a)
+                    frontier += plus_gens(add[a])
+        cached = M._cache["generating_set"] = gens
+    return list(cached)
 
 
 def _induced_map(M1: FiniteCommMonoid, M2: FiniteCommMonoid, pairs):

@@ -1,10 +1,11 @@
 """References and fixtures that the tests compare the library against.
 
 Nothing in ``sandmon`` calls these: one-step firing and the potential that
-certifies termination, the plain rule completion, small monoid tables built
-by hand, dense matrix helpers that check Smith normal forms, graph families,
-the worked examples that ``graphs/`` holds as files, the seeded corpus of
-random sandpile graphs and a strategy that draws small sandpile graphs.
+certifies termination, the plain rule completion, units and atoms by
+scanning the whole table, small monoid tables built by hand, dense matrix
+helpers that check Smith normal forms, graph families, the worked examples
+that ``graphs/`` holds as files, the seeded corpus of random sandpile
+graphs and a strategy that draws small sandpile graphs.
 """
 
 from __future__ import annotations
@@ -161,6 +162,23 @@ def verify_monoid(M: FiniteCommMonoid):
             if row_xg != [row_x[t] for t in row_g]:
                 y = next(y for y in range(n) if row_xg[y] != row_x[row_g[y]])
                 raise ValueError(f"not associative at ({x}, {g}, {y})")
+
+
+def reference_units(M: FiniteCommMonoid) -> list:
+    """The elements with an inverse, by scanning every row for zero."""
+    z = M.zero
+    return [a for a, row in enumerate(M.add) if z in row]
+
+
+def reference_atoms(M: FiniteCommMonoid) -> list:
+    """The nonzero elements that no sum of two nonzero elements reaches,
+    by collecting every such sum of the table."""
+    z = M.zero
+    decomposable = set()
+    for a, row in enumerate(M.add):
+        if a != z:
+            decomposable.update(row[:z], row[z + 1:])
+    return [x for x in range(len(M)) if x != z and x not in decomposable]
 
 
 def ideal_matches_invariants(M: FiniteCommMonoid, ideal, invariants) -> bool:

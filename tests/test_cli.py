@@ -75,6 +75,20 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "error[GraphFormatError]" in err
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"vertex \xff\xfe\n", "line 1: byte 0xff is not UTF-8"),
+    # lines end at \n, \r\n or \r, as parse_graph counts them
+    (b"vertex a\r\nvertex b\rvertex s\n# caf\xc3\xa9\nedge a \xe9 w=1\n",
+     "line 5: byte 0xe9 is not UTF-8"),
+])
+def test_a_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, data, message):
+    bad = tmp_path / "bad.sg"
+    bad.write_bytes(data)
+    for command in ("check", "wmonoid", "realize"):
+        rc, out, err = run(capsys, command, str(bad))
+        assert (rc, out, err) == (2, "", f"error[GraphFormatError]: {message}\n")
+
+
 def test_missing_file_exit_code(capsys):
     rc, _, err = run(capsys, "check", "no_such_file.sg")
     assert rc == 2

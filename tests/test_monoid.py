@@ -63,7 +63,9 @@ from reference import (
     monogenic_monoid,
     named_examples,
     random_sandpile_corpus,
+    reference_atoms,
     reference_reduction_system,
+    reference_units,
     refine_equation,
     rose_graph,
     small_sandpile_graphs,
@@ -830,6 +832,95 @@ def test_units_and_atoms_are_cached_copies():
         assert predicate(M) == expected
         assert predicate(M) is not predicate(M)
     assert M._cache["units"] == [0] and M._cache["atoms"] == [1]
+
+
+def assert_units_and_atoms_match_reference(M):
+    """units and atoms against the scans of every row, on M, on M with its
+    indices reversed (zero no longer first) and on M modulo its units."""
+    for N in (M, reversed_copy(M), quotient_by_submonoid(M, reference_units(M))):
+        assert units(N) == reference_units(N)
+        assert atoms(N) == reference_atoms(N)
+
+
+def test_units_and_atoms_match_reference_on_families():
+    monoids = [trivial_monoid(), cyclic_group_monoid(2), cyclic_group_monoid(3)]
+    monoids += [unit_group_plus_idempotent(k) for k in (1, 2, 3, 5)]
+    monoids += [monogenic_monoid(i, p) for i in range(4) for p in range(1, 5)]
+    monoids += [direct_sum(group, monogenic_monoid(i, p))
+                for group in (cyclic_group_monoid(2), cyclic_group_monoid(3))
+                for i, p in ((1, 1), (1, 3), (2, 2), (3, 1))]
+    monoids += [direct_sum(monogenic_monoid(1, 3), monogenic_monoid(2, 2))]
+    unit_counts = set()
+    for M in monoids:
+        assert_units_and_atoms_match_reference(M)
+        unit_counts.add(min(len(units(M)), 3))
+    # no nonzero unit, one, and at least two, which leave no atom
+    assert unit_counts == {1, 2, 3}
+
+
+def assert_graph_units_and_atoms_match_reference(g):
+    """The same on SP(g), the monoid presented without sink relations of
+    g's quotient graph, and M(g, w) with sink relations."""
+    for M in realization_monoids(g):
+        assert_units_and_atoms_match_reference(M)
+    assert_units_and_atoms_match_reference(enumerate_weighted_monoid(g, sink_relations=True))
+
+
+def test_units_and_atoms_match_reference_on_the_corpus():
+    for g in random_sandpile_corpus() + list(named_examples().values()):
+        assert_graph_units_and_atoms_match_reference(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_sandpile_graphs())
+def test_units_and_atoms_match_reference_on_generated_graphs(g):
+    assert_graph_units_and_atoms_match_reference(g)
+
+
+class RowScanned(Exception):
+    pass
+
+
+class RowThatOnlyIndexes(list):
+    """A table row that answers plain indexing and refuses every read of
+    the whole row: membership, slices, iteration, count and index."""
+
+    def _refuse(self, *args):
+        raise RowScanned("a row that is neither a generator's nor a unit's was scanned")
+
+    __contains__ = __iter__ = count = index = _refuse
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            self._refuse()
+        return list.__getitem__(self, i)
+
+
+def test_units_and_atoms_scan_only_the_rows_of_generators_and_units():
+    monoids = [enumerate_sandpile_monoid(make_t_graph()),
+               enumerate_sandpile_monoid(unit_and_idempotent_graph(5)),
+               unit_group_plus_idempotent(5),
+               direct_sum(cyclic_group_monoid(3), cyclic_monoid(4)),
+               monogenic_monoid(2, 3)]
+    monoids += [reversed_copy(M) for M in monoids]
+    monoids += [enumerate_sandpile_monoid(g) for g in random_sandpile_corpus(count=40)]
+    guarded_monoids = 0
+    for M in monoids:
+        scanned = set(loop_generating_set(M)) | set(reference_units(M))
+        guarded = FiniteCommMonoid(
+            add=[row if a in scanned else RowThatOnlyIndexes(row)
+                 for a, row in enumerate(M.add)],
+            zero=M.zero, labels=M.labels,
+        )
+        assert units(guarded) == reference_units(M)
+        assert atoms(guarded) == reference_atoms(M)
+        if len(scanned) < len(M):
+            guarded_monoids += 1
+            with pytest.raises(RowScanned):
+                reference_units(guarded)
+    # the hand-picked ten and most of the corpus; the rest are groups or
+    # small enough that every row is a generator's or a unit's
+    assert guarded_monoids > 40
 
 
 def test_refinement_reads_its_tables_once(monkeypatch):
