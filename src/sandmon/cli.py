@@ -8,6 +8,7 @@ for fixed inputs and flags; ``--json`` emits the machine readable report.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import json
 import re
@@ -87,10 +88,13 @@ def _emit(args, payload: dict, text_lines) -> None:
 
 
 def _load_graph(path: str):
-    """Parse the graph file at ``path``.  A file that is not UTF-8 raises
-    GraphFormatError naming the line of its first undecodable byte, with
-    lines ending at \\n, \\r\\n or \\r as ``parse_graph`` counts them."""
-    data = Path(path).read_bytes()
+    """Parse the graph file at ``path``.  A leading UTF-8 byte-order mark is
+    dropped.  A file that is not UTF-8 raises GraphFormatError naming the
+    line of its first undecodable byte, with lines ending at \\n, \\r\\n or
+    \\r as ``parse_graph`` counts them.  The mark is dropped from the bytes,
+    not by the ``utf-8-sig`` codec, whose error offsets count from after
+    the mark."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

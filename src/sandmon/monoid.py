@@ -8,10 +8,11 @@ exhaustive, so a negative answer at this scale is a proof.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import product
 from math import prod
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from . import errors
 from .graph import SandpileGraph, WeightedDigraph, _require_sandpile
@@ -51,15 +52,51 @@ class AbelianGroupInvariants:
 
 @dataclass(eq=False)
 class FiniteCommMonoid:
+    """A Cayley table: ``add[x][y]`` is the index of x + y.  ``labels[x]``
+    names element x; the enumerators give a ``_Labels`` sequence, which
+    formats a label when it is first read, as a report names only a few
+    elements.  ``reps`` holds the normal-form vectors, when known."""
+
     add: list
     zero: int
-    labels: list
+    labels: Sequence
     reps: list | None = None
     generators: dict | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __len__(self):
         return len(self.add)
+
+
+class _Labels(Sequence):
+    """The read-only labels ``format_element(names, reps[x])``, each
+    formatted when element x is first read and then kept.  Indexing,
+    slicing, ``index``, iteration and ``len`` work as on a list, and the
+    sequence equals the list of the same labels."""
+
+    def __init__(self, names, reps):
+        self._names = names
+        self._reps = reps
+        self._formatted = [None] * len(reps)
+
+    def __len__(self):
+        return len(self._reps)
+
+    def __getitem__(self, x):
+        if isinstance(x, slice):
+            return [self[i] for i in range(*x.indices(len(self)))]
+        label = self._formatted[x]
+        if label is None:
+            label = self._formatted[x] = format_element(self._names, self._reps[x])
+        return label
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _Labels)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __repr__(self):
+        return f"_Labels({list(self)!r})"
 
 
 # ----------------------------------------------------------------- predicates
@@ -657,11 +694,15 @@ def _closure_monoid(names, step, cap: int) -> FiniteCommMonoid:
 
     The closure search records act[v][x] = step(x, v), and for each element
     x the step x = step(y, v) that first found it.  Row 0 is the identity,
-    and row x is act[v] applied to row y, as the normal forms are canonical:
-    nf(x + z) = nf(nf(y + z) + e_v).  The rows are built in the order found,
-    so row y is built before row x, and the normal forms need not form a
-    down-set.  That is at most |M|*n steps, not |M|^2 / 2: a generator with
-    step(0, v) = 0 acts as the identity, so only zero is stepped with it.
+    and row x is row y gathered at the entries of act[v], as the normal
+    forms are canonical: nf(x + z) = nf(y + nf(z + e_v)).  Each row is one
+    ``itemgetter`` call over act[v], remapped to the sorted indices.  The
+    rows are built in the order found, so row y is built before row x, and
+    the normal forms need not form a down-set.  That is at most |M|*n
+    steps, not |M|^2 / 2: a generator with step(0, v) = 0 acts as the
+    identity, so only zero is stepped with it.  A table of one element has
+    no moving generator, so every gather takes two or more entries and
+    returns a tuple.  The labels are formatted when read (``_Labels``).
     """
     zero = (0,) * len(names)
     # the loop also visits the elements it appends
@@ -691,17 +732,15 @@ def _closure_monoid(names, step, cap: int) -> FiniteCommMonoid:
     order = [index[rep] for rep in elements]
     pos = {x: i for i, x in enumerate(order)}
     generators = {name: pos[row[0]] for name, row in zip(names, act)}
-    # each row in found order, with the moving generators' steps in sorted
-    # indices on both sides
-    act = {v: [pos[row[x]] for x in order] for v, row in moving}
+    # each row in found order, gathered through the moving generators' steps
+    # in sorted indices on both sides
+    gather = {v: itemgetter(*[pos[row[x]] for x in order]) for v, row in moving}
     rows = [list(range(len(order)))]
     for y, v in parents[1:]:
-        row = act[v]
-        rows.append([row[z] for z in rows[y]])
+        rows.append(list(gather[v](rows[y])))
     return FiniteCommMonoid(
         add=[rows[x] for x in order], zero=0,
-        labels=[format_element(names, rep) for rep in elements],
-        reps=elements, generators=generators,
+        labels=_Labels(names, elements), reps=elements, generators=generators,
     )
 
 
@@ -769,10 +808,16 @@ def enumerate_sandpile_monoid(g: SandpileGraph,
     mixed-radix index, and the sum of x and y is the stable form of their
     configurations' sum.  The action table ``_sandpile_action`` gives the
     index of x + e_v for each non-sink v; no configuration is stabilised.
-    Row 0 is the identity, and row x is act[v] applied to row x - R_v, for
-    v the last non-sink vertex with x_v > 0 and R_v its place value:
-    stab(x + z) = stab(stab((x - e_v) + z) + e_v).  The sink's generator is
-    zero, as the sink absorbs.
+    Row 0 is the identity.  The rows are built by block doubling, from the
+    least significant digit to the most: before vertex v, with place value
+    R_v and out-degree d_v, the rows 0 ... R_v - 1 are built, and d_v - 1
+    times the last R_v rows are extended by themselves gathered at the
+    entries of act[v], one ``itemgetter`` call per row.  Row x is then row
+    x - R_v gathered through act[v], as (x - R_v) + (z + e_v) = x + z.  A
+    vertex of out-degree 1 has digit 0 throughout and adds no block, so a
+    table of one element builds no gather, and every gather takes two or
+    more entries and returns a tuple.  The sink's generator is zero, as
+    the sink absorbs.  The labels are formatted when read (``_Labels``).
     """
     _require_sandpile(g, "enumerate_sandpile_monoid")
     size = prod(g.out_degree(v) for v in g.non_sink_vertices())
@@ -790,21 +835,16 @@ def enumerate_sandpile_monoid(g: SandpileGraph,
             place *= radices[v]
     index = list(range(size))
     act = _sandpile_action(g, places, index)
-    # least significant first, without the digits that are always zero
-    last = [(v, places[v], radices[v]) for v in reversed(range(g.n_vertices))
-            if radices[v] > 1]
     rows = [index]
-    for x in range(1, size):
-        for v, place, radix in last:
-            if x // place % radix:
-                break
-        row = act[v]
-        rows.append([row[z] for z in rows[x - place]])
+    # least significant first; a digit that is always zero adds no block
+    for v in reversed(range(g.n_vertices)):
+        if radices[v] > 1:
+            add_v, place = itemgetter(*act[v]), places[v]
+            for _ in range(radices[v] - 1):
+                rows += map(list, map(add_v, rows[-place:]))
     reps = list(product(*(range(d) for d in radices)))
     return FiniteCommMonoid(
-        add=rows, zero=0,
-        labels=[format_element(g.names, rep) for rep in reps],
-        reps=reps,
+        add=rows, zero=0, labels=_Labels(g.names, reps), reps=reps,
         generators={name: 0 if row is None else row[0]
                     for name, row in zip(g.names, act)},
     )

@@ -144,10 +144,15 @@ def verify_monoid(M: FiniteCommMonoid):
     associativity.  Associativity uses Light's test: (x + g) + y equals
     x + (g + y) for every generator g and all x, y.  The elements b that
     pass for all x, y are closed under addition, so passing on a generating
-    set means passing everywhere."""
+    set means passing everywhere.  Every failure, a row that is not a list
+    of n elements included, raises ValueError naming where it fails."""
     n = len(M)
     add = M.add
     z = M.zero
+    elements = set(range(n))
+    for x, row in enumerate(add):
+        if not isinstance(row, list) or len(row) != n or not elements.issuperset(row):
+            raise ValueError(f"row of element {x} is not a list of {n} elements")
     for x in range(n):
         if add[z][x] != x or add[x][z] != x:
             raise ValueError(f"zero fails at element {x}")

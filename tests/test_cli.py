@@ -1,3 +1,4 @@
+import codecs
 import json
 import re
 from pathlib import Path
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from sandmon import cli, ktheory, monoid, realize, rewrite
 from sandmon.cli import build_parser, main
-from sandmon.graph import SandpileGraph, loop_sink_graph
+from sandmon.graph import SandpileGraph, cycle_companion_sandpile, loop_sink_graph
 
 from reference import graph_to_text, random_sandpile_corpus
 
@@ -87,6 +88,29 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, data, messag
     for command in ("check", "wmonoid", "realize"):
         rc, out, err = run(capsys, command, str(bad))
         assert (rc, out, err) == (2, "", f"error[GraphFormatError]: {message}\n")
+
+
+@pytest.mark.parametrize("data", [
+    b"vertex a\nvertex s\nedge a s\n",
+    (GRAPHS / "g_2_3.sg").read_bytes(),
+], ids=["one edge", "g_2_3.sg"])
+def test_a_byte_order_mark_reads_as_the_same_file(capsys, tmp_path, data):
+    """A file that an editor saved with a UTF-8 byte-order mark in front
+    reads as the same file without it."""
+    plain, marked = tmp_path / "plain.sg", tmp_path / "marked.sg"
+    plain.write_bytes(data)
+    marked.write_bytes(codecs.BOM_UTF8 + data)
+    for command in (("check",), ("monoid",), ("wmonoid", "--variant", "with-sinks")):
+        rc, out, err = run(capsys, command[0], str(marked), *command[1:], "--json")
+        assert (rc, out, err) == run(capsys, command[0], str(plain), *command[1:], "--json")
+        assert (rc, err) == (0, "")
+
+
+def test_a_bad_byte_after_a_byte_order_mark_names_its_own_line(capsys, tmp_path):
+    bad = tmp_path / "bad.sg"
+    bad.write_bytes(codecs.BOM_UTF8 + b"vertex a\nvertex s\n# caf\xc3\xa9\nedge a \xe9 s\n")
+    rc, out, err = run(capsys, "check", str(bad))
+    assert (rc, out, err) == (2, "", "error[GraphFormatError]: line 4: byte 0xe9 is not UTF-8\n")
 
 
 def test_missing_file_exit_code(capsys):
@@ -515,6 +539,39 @@ def test_classify_enumerates_the_monoid_once(capsys, monkeypatch, tmp_path):
             assert calls == searches == [], path
     assert outcomes[:4] == [True, False, False, 1]
     assert outcomes.count(True) >= 3 and outcomes.count(False) >= 10
+
+
+def printed_labels(payload) -> set:
+    """The element labels that a monoid, wmonoid or classify report prints."""
+    if payload["report"] == "classify":
+        return set(payload["witness"])
+    return {payload["zero"], *payload["units"], *payload["atoms"],
+            *(payload["refinement_witness"] or ()), payload["smallest_ideal_identity"]}
+
+
+def test_reports_format_only_the_labels_they_print(capsys, monkeypatch, tmp_path):
+    """A table of 128 elements is enumerated, but only the labels that the
+    report prints are formatted, each once."""
+    formatted = []
+    real = monoid.format_element
+
+    def counted(names, vec):
+        formatted.append(real(names, vec))
+        return formatted[-1]
+
+    monkeypatch.setattr(monoid, "format_element", counted)
+    loops = tmp_path / "loops.sg"
+    loops.write_text(graph_to_text(loop_sink_graph(3, 125)), encoding="utf-8")
+    cycle = tmp_path / "cycle.sg"
+    cycle.write_text(graph_to_text(cycle_companion_sandpile([2] * 7)), encoding="utf-8")
+    for command in (("monoid", loops), ("monoid", cycle), ("classify", loops),
+                    ("wmonoid", cycle, "--variant", "with-sinks")):
+        del formatted[:]
+        rc, payload, _ = run_json(capsys, command[0], str(command[1]), *command[2:])
+        assert rc == 0
+        assert payload.get("size", 128) == 128
+        assert payload["report"] != "classify" or payload["witness"]
+        assert sorted(formatted) == sorted(printed_labels(payload)), command
 
 
 def test_prime_report(capsys, tmp_path):

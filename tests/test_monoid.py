@@ -397,6 +397,17 @@ def test_verify_monoid_catches_bad_tables():
         verify_monoid(broken)
 
 
+@pytest.mark.parametrize("row", [[1, 0, 0], (1, 0), [1], [1, 2]],
+                         ids=["extra entry", "tuple row", "short row", "entry out of range"])
+def test_verify_monoid_names_a_malformed_row(row):
+    """A row that is not a list of one entry per element is a bad table,
+    reported as ValueError like every other failure."""
+    table = [[0, 1], row]
+    M = FiniteCommMonoid(add=table, zero=0, labels=["0", "x"])
+    with pytest.raises(ValueError, match=r"^row of element 1 is not a list of 2 elements$"):
+        verify_monoid(M)
+
+
 def test_monoid_tables_verify_on_examples():
     for M in [
         enumerate_sandpile_monoid(make_t_graph()),
@@ -731,6 +742,69 @@ def test_weighted_table_matches_reference_on_generated_graphs(g):
     except errors.Inconclusive:
         assume(False)
     assert assert_weighted_matches_reference(g, True, cap=200)
+
+
+# ------------------------------------ tables of one and two elements, labels
+
+
+def test_tables_of_one_and_two_elements():
+    """A gather over one entry would return that entry, not a row: the
+    tables of one and two elements must still hold list rows.  Out-degree 1
+    at every non-sink vertex gives one element, and a vertex of out-degree
+    1 beside one of out-degree 2 must add no block of rows."""
+    def sandpile(names, edges):
+        return validate_sandpile(WeightedDigraph(names, [(a, b, 1) for a, b in edges]))
+
+    chain = sandpile(["a", "b", "s"], [("a", "b"), ("b", "s")])
+    mixed = sandpile(["a", "b", "s"], [("a", "s"), ("b", "b"), ("b", "s")])
+    for g, size in [(chain, 1), (loop_sink_graph(1, 1), 2), (mixed, 2)]:
+        assert len(enumerate_sandpile_monoid(g)) == size
+        assert_table_matches_reference(g)
+    # the sink absorbs, so the chain's grains all reach zero; without the
+    # sink relation the sink is free, and both enumerators stop at the cap
+    assert enumerate_weighted_monoid(chain).add == [[0]]
+    assert [assert_weighted_matches_reference(chain, sr, cap=30)
+            for sr in (True, False)] == [True, False]
+    assert enumerate_weighted_monoid(loop_sink_graph(1, 1)).add == [[0, 1], [1, 1]]
+    # a sink-free graph: two elements either way
+    loop = WeightedDigraph(["v"], [("v", "v", 2)])
+    for sr in (True, False):
+        assert enumerate_weighted_monoid(loop, sink_relations=sr).add == [[0, 1], [1, 1]]
+        assert assert_weighted_matches_reference(loop, sr)
+
+
+def assert_labels_read_as_formatted(g, M):
+    """M.labels, read on a fresh table out of order, by slices, by index
+    and in full, equal the labels formatted eagerly from M.reps."""
+    expected = [format_element(g.names, rep) for rep in M.reps]
+    last = len(expected) - 1
+    assert M.labels[last] == M.labels[-1] == expected[-1]
+    assert M.labels[::-2] == expected[::-2]
+    assert M.labels.index(expected[last // 2]) == last // 2
+    assert len(M.labels) == len(M)
+    assert list(M.labels) == expected
+    assert M.labels == expected and expected == M.labels
+    assert M.labels != expected[:-1] + ["?"]
+    assert M.labels != tuple(expected)
+
+
+def test_labels_read_on_demand_equal_the_eager_labels():
+    for g in random_sandpile_corpus(count=40) + [grid_graph(1, 4)]:
+        assert_labels_read_as_formatted(g, enumerate_sandpile_monoid(g))
+        assert_labels_read_as_formatted(g, enumerate_weighted_monoid(g))
+    for g in (weighted_cycle_graph([2, 2, 1]), rose_graph(3, 4)):
+        assert_labels_read_as_formatted(g, enumerate_weighted_monoid(g, sink_relations=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_sandpile_graphs())
+def test_labels_read_on_demand_on_generated_graphs(g):
+    assert_labels_read_as_formatted(g, enumerate_sandpile_monoid(g))
+    try:
+        M = enumerate_weighted_monoid(g, cap=300)
+    except errors.Inconclusive:
+        return
+    assert_labels_read_as_formatted(g, M)
 
 
 def test_weighted_table_uses_one_normal_form_per_element_and_generator(monkeypatch):
