@@ -171,8 +171,10 @@ class _Decompositions(dict):
     rows ``sol[g][y]`` (see ``_SolutionRows``).  Only pairs of divisors are
     tried.  A build that would take the pairs tried past n(n+1)/2, the size
     of the full table, fills the remaining sums in one pass over all pairs
-    instead, so no table costs more than twice that pass: a group, whose
-    every element divides every sum, would otherwise try n^3 / 2 pairs."""
+    instead, so no table costs more than twice that pass.  That serves the
+    unit-heavy tables that no certificate of ``is_refinement`` covers: in
+    Z/k with an absorbing element adjoined, every unit divides every sum,
+    and the per-sum builds would try about k^3 / 2 pairs."""
 
     def __init__(self, add, sol, gens):
         super().__init__()
@@ -277,60 +279,46 @@ def is_refinement(M: FiniteCommMonoid):
     with no refinement when the sums c + d, then the pairs of
     ``_decomps(M)[c + d]``, are taken in index order.
 
-    A direct sum of cyclic monoids, as ``classify_cyclic_sum`` certifies it
-    on the table, refines with no search: C_n is {0} with a cyclic group G,
-    an equation a + b = c + d in G refines as [[c, a - c], [0, b]], one
-    with a term 0 refines trivially, and refinement passes to direct sums.
-    A group, a table whose every element is a unit, refines the same way.
+    Three certificates give True with no search.  A direct sum of cyclic
+    monoids, as ``classify_cyclic_sum`` certifies it on the table, refines:
+    C_n is {0} with a cyclic group G, an equation a + b = c + d in G
+    refines as [[c, a - c], [0, b]], one with a term 0 refines trivially,
+    and refinement passes to direct sums.  A group, a table whose every
+    element is a unit, refines the same way.
 
-    Any other monoid is searched.  It suffices that every x + y = c + d
-    with x in a generating set X refines.  By induction on the length of
-    a1 as a sum of generators: write a1 = x + a1', refine
-    x + (a1' + a2) = b1 + b2 into x = p + q,
-    a1' + a2 = r + s, b1 = p + r, b2 = q + s, and refine a1' + a2 = r + s
-    into t11, t12, t21, t22; then [[p + t11, q + t12], [t21, t22]] refines
-    a1 + a2 = b1 + b2.  Those equations are checked in order of their sum.
-    Only when one of them fails are all equations scanned for the first
-    witness, and only up to that sum, where the failing equation itself
-    lies (up to swapping sides).  Only the sums that the search reads are
-    decomposed (see ``_Decompositions``).
+    Third, M refines when its unit group U acts freely and M/U is a cyclic
+    sum.  The classes of ``quotient_by_submonoid(M, U)`` are the orbits
+    x + U, so U acts freely (x + u = x only for u = 0) exactly when
+    |M| = |U| |M/U|.  Lift a refinement of [a] + [b] = [c] + [d] to
+    a = f1 + f2 + u1, b = f3 + f4 + u2, c = f1 + f3 + u3, d = f2 + f4 + u4
+    with units u1..u4.  Freeness gives u1 + u2 = u3 + u4.  Then
+    e1 = f1 + u1, e2 = f2, e3 = f3 + u3 - u1 and e4 = f4 + u4 refine
+    a + b = c + d.
+
+    Any other monoid is scanned in the witness order until an equation has
+    no refinement; a scan that finds none is the proof.  Only the sums that
+    the scan reads are decomposed (see ``_Decompositions``).
     """
-    if classify_cyclic_sum(M) is not None or len(units(M)) == len(M):
+    if classify_cyclic_sum(M) is not None:
         return True, None
+    unit_list = units(M)
+    if len(unit_list) == len(M):
+        return True, None
+    if len(unit_list) > 1:
+        quotient = quotient_by_submonoid(M, unit_list)
+        if (len(M) == len(unit_list) * len(quotient)
+                and classify_cyclic_sum(quotient) is not None):
+            return True, None
     add, decomps = M.add, _decomps(M)
-    sol, gens = decomps.sol, decomps.gens
+    sol = decomps.sol
     for t in range(len(M)):
         pairs = decomps[t]
-        for x in gens:
-            for y in sol[x].get(t, ()):
-                splits = decomps[x]
-                for c, d in pairs:
-                    if _refine(add, sol, splits, y, c, d) is None:
-                        return False, _first_witness(add, sol, decomps, set(gens), t)
-    return True, None
-
-
-def _first_witness(add, sol, decomps, gens, last: int):
-    """The first equation a + b = c + d, with (a, b) before or equal to
-    (c, d) in ``decomps[a + b]`` and a + b at most ``last``, that has no
-    refinement.  Below ``last`` the equations that contain a generator
-    refine, as the generator pass has checked them, so they are skipped."""
-    for t in range(last + 1):
-        pairs = decomps[t]
-        checked = gens if t < last else ()
         for i, (a, b) in enumerate(pairs):
-            if a in checked or b in checked:
-                continue
             splits = decomps[a]
             for c, d in pairs[i:]:
-                if c in checked or d in checked:
-                    continue
                 if _refine(add, sol, splits, b, c, d) is None:
-                    return a, b, c, d
-    raise errors.CertificateFailed(
-        "a generator equation has no refinement, but every equation up to"
-        " its sum refines"
-    )
+                    return False, (a, b, c, d)
+    return True, None
 
 
 # -------------------------------------------------------------- group structure

@@ -30,7 +30,6 @@ from sandmon.ktheory import _shape
 from sandmon.monoid import (
     FiniteCommMonoid,
     _decomps,
-    _generating_set,
     _refine,
     _solutions,
     atoms,
@@ -139,12 +138,38 @@ def reference_reduction_system(n_gens, relations, max_rules=4000):
 # --------------------------------------------------------------------- monoids
 
 
+def loop_generating_set(M: FiniteCommMonoid) -> list:
+    """The elements, in index order, that the earlier ones do not generate,
+    as the earlier ``_generating_set`` closed them: each element the closure
+    reaches is added to every element reached so far, O(|M|^2).  Nothing is
+    read from ``M._cache``."""
+    n = len(M)
+    gens = []
+    closed = {M.zero}
+    for x in range(n):
+        if x in closed:
+            continue
+        gens.append(x)
+        frontier = [x]
+        closed.add(x)
+        while frontier:
+            a = frontier.pop()
+            for b in list(closed):
+                c = M.add[a][b]
+                if c not in closed:
+                    closed.add(c)
+                    frontier.append(c)
+    return gens
+
+
 def verify_monoid(M: FiniteCommMonoid):
     """Check the table axioms exactly: identity, commutativity and
     associativity.  Associativity uses Light's test: (x + g) + y equals
     x + (g + y) for every generator g and all x, y.  The elements b that
     pass for all x, y are closed under addition, so passing on a generating
-    set means passing everywhere.  Every failure, a row that is not a list
+    set means passing everywhere.  The generating set is closed here
+    (``loop_generating_set``), not taken from the library, whose cached
+    value a caller may have set.  Every failure, a row that is not a list
     of n elements included, raises ValueError naming where it fails."""
     n = len(M)
     add = M.add
@@ -160,7 +185,7 @@ def verify_monoid(M: FiniteCommMonoid):
         for b in range(a + 1, n):
             if add[a][b] != add[b][a]:
                 raise ValueError(f"not commutative at ({a}, {b})")
-    for g in _generating_set(M):
+    for g in loop_generating_set(M):
         row_g = add[g]
         for x in range(n):
             row_xg, row_x = add[add[x][g]], add[x]

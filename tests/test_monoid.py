@@ -59,6 +59,7 @@ from reference import (
     grid_graph,
     ideal_matches_invariants,
     is_atom_cancellative,
+    loop_generating_set,
     make_t_graph,
     monogenic_monoid,
     named_examples,
@@ -1127,7 +1128,7 @@ def test_refinement_matches_reference_on_cyclic_and_monogenic_sums():
                 direct_sum(cyclic_group_monoid(2), cyclic_monoid(4)),
                 direct_sum(monogenic_monoid(1, 2), monogenic_monoid(3, 2))]
     # groups, which refine with no search, and refinement monoids with units
-    # that are neither groups nor cyclic sums, which scan every sum
+    # that are neither groups nor cyclic sums, whose free units decide them
     monoids += [cyclic_group_monoid(n) for n in (5, 6, 8)]
     monoids += [direct_sum(cyclic_group_monoid(2), cyclic_group_monoid(k)) for k in (2, 3, 4)]
     monoids += [unit_group_plus_idempotent(k) for k in (1, 2, 3, 5)]
@@ -1159,22 +1160,6 @@ def count_refine_calls(monkeypatch):
     return searches
 
 
-def test_refinement_searches_only_generator_equations(monkeypatch):
-    # a refinement monoid that is not a direct sum of cyclic monoids, so
-    # the verdict comes from the search
-    M = direct_sum(cyclic_group_monoid(2), cyclic_monoid(4))
-    assert classify_cyclic_sum(M) is None
-    searches = count_refine_calls(monkeypatch)
-    assert is_refinement(M) == (True, None)
-    decomps = monoid._decomps(M)
-    # one generator of each summand: x of C_4, then x of Z/2
-    gens = monoid._generating_set(M)
-    assert gens == [1, 4]
-    # one search per equation x + a = c + d: 80 of the 112 equations
-    assert len(searches) == sum(len(decomps[t]) for x in gens for t in M.add[x]) == 80
-    assert sum(len(decomps[t]) * (len(decomps[t]) + 1) // 2 for t in range(len(M))) == 112
-
-
 def test_refinement_of_a_cyclic_sum_is_read_off_the_certificate(monkeypatch):
     searches = count_refine_calls(monkeypatch)
     for g in two_cycle_unions():
@@ -1196,6 +1181,59 @@ def test_refinement_of_a_group_needs_no_search(monkeypatch):
     assert searches == []
 
 
+def test_refinement_of_free_units_over_a_cyclic_sum_needs_no_search(monkeypatch):
+    searches = count_refine_calls(monkeypatch)
+    monoids = [direct_sum(cyclic_group_monoid(2), cyclic_monoid(4))]
+    monoids += [unit_group_plus_idempotent(k) for k in (2, 5, 256)]
+    monoids += [enumerate_sandpile_monoid(unit_and_idempotent_graph(k)) for k in (2, 5, 64)]
+    for M in monoids:
+        assert classify_cyclic_sum(M) is None
+        unit_list = units(M)
+        assert 1 < len(unit_list) < len(M)
+        # the units act freely: every orbit x + U has |U| elements
+        assert len(unit_list) * len(quotient_by_submonoid(M, unit_list)) == len(M)
+        assert is_refinement(M) == (True, None)
+        assert "decomps" not in M._cache and "solutions" not in M._cache
+    assert searches == []
+
+
+def group_plus_absorbing(k):
+    """Z/k with an absorbing element adjoined at index k.  Every unit fixes
+    it, so the units do not act freely, yet it refines."""
+    table = [[(i + j) % k for j in range(k)] + [k] for i in range(k)]
+    table.append([k] * (k + 1))
+    return FiniteCommMonoid(add=table, zero=0, labels=[f"{i}u" for i in range(k)] + ["inf"])
+
+
+def test_refinement_scans_when_the_free_unit_certificate_fails(monkeypatch):
+    searches = count_refine_calls(monkeypatch)
+    max_chain = FiniteCommMonoid(add=[[max(i, j) for j in range(3)] for i in range(3)],
+                                 zero=0, labels=["0", "a", "b"])
+    # units that fix an element
+    non_free = [group_plus_absorbing(k) for k in (2, 3, 8)]
+    non_free += [direct_sum(group_plus_absorbing(4), cyclic_monoid(4)),
+                 direct_sum(group_plus_absorbing(3), monogenic_monoid(2, 1))]
+    # free units over a quotient that is not a cyclic sum
+    free = [direct_sum(cyclic_group_monoid(k), monogenic_monoid(2, p))
+            for k in (2, 3) for p in (1, 2)]
+    free.append(direct_sum(cyclic_group_monoid(2), max_chain))
+    verdicts = set()
+    for M, acts_freely in [(M, False) for M in non_free] + [(M, True) for M in free]:
+        assert classify_cyclic_sum(M) is None
+        unit_list = units(M)
+        assert 1 < len(unit_list) < len(M)
+        quotient = quotient_by_submonoid(M, unit_list)
+        assert (len(unit_list) * len(quotient) == len(M)) == acts_freely
+        if acts_freely:
+            assert classify_cyclic_sum(quotient) is None
+        searches.clear()
+        verdict = is_refinement(M)
+        assert verdict == reference_is_refinement(M)
+        assert searches and "decomps" in M._cache
+        verdicts.add(verdict[0])
+    assert verdicts == {True, False}
+
+
 def test_refinement_builds_only_the_sums_it_reads():
     # out-degrees 4, 4 and 8: 128 elements, not refinement
     g = validate_sandpile(WeightedDigraph(
@@ -1211,9 +1249,10 @@ def test_refinement_builds_only_the_sums_it_reads():
 
 
 def test_refinement_scan_stores_the_eager_table_once():
-    # every sum is read, and the per-sum builds run out of work and leave
-    # the remaining sums to one pass over all pairs
-    M = direct_sum(cyclic_group_monoid(64), cyclic_monoid(2))
+    # no certificate covers Z/64 with an absorbing element, so every sum is
+    # read, and the per-sum builds run out of work and leave the remaining
+    # sums to one pass over all pairs
+    M = group_plus_absorbing(64)
     n = len(M)
     assert is_refinement(M) == (True, None)
     decomps = M._cache["decomps"]
@@ -1318,28 +1357,6 @@ def reference_generating_set(M):
                 if grown == closed:
                     break
                 closed = grown
-    return gens
-
-
-def loop_generating_set(M):
-    """The earlier ``_generating_set``: each element the closure reaches is
-    added to every element reached so far, O(|M|^2)."""
-    n = len(M)
-    gens = []
-    closed = {M.zero}
-    for x in range(n):
-        if x in closed:
-            continue
-        gens.append(x)
-        frontier = [x]
-        closed.add(x)
-        while frontier:
-            a = frontier.pop()
-            for b in list(closed):
-                c = M.add[a][b]
-                if c not in closed:
-                    closed.add(c)
-                    frontier.append(c)
     return gens
 
 
@@ -1707,6 +1724,18 @@ def test_verify_monoid_is_exact_on_corrupted_tables():
                     assert passed == associative(broken), (M.labels, a, b, value)
                     outcomes.add(passed)
     assert outcomes == {True, False}
+
+
+def test_verify_monoid_closes_its_own_generating_set():
+    # 1 + 1 = 1 and 2 + 2 = 0, but (2 + 2) + 1 = 1 and 2 + (2 + 1) = 0; 1
+    # passes Light's test, so a cached generating set of [1] alone hides
+    # the failure at 2
+    M = FiniteCommMonoid(add=[[0, 1, 2], [1, 1, 2], [2, 2, 0]], zero=0,
+                         labels=["0", "e", "u"])
+    M._cache["generating_set"] = [1]
+    assert monoid._generating_set(M) == [1]
+    with pytest.raises(ValueError, match="not associative"):
+        verify_monoid(M)
 
 
 def test_verify_monoid_checks_large_tables_exactly():
