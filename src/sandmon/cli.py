@@ -417,7 +417,8 @@ def cmd_export_dot(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process and shared, so callers must not
-    change it.  It holds no command functions: ``main`` looks up
+    change it.  Its ``commands`` attribute maps each command name to that
+    command's subparser.  It holds no command functions: ``main`` looks up
     ``cmd_<command>`` when it runs, so a rebound ``cmd_*`` is the one called."""
     parser = argparse.ArgumentParser(
         prog="sandmon",
@@ -425,6 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                     " integer matrix invariants.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
@@ -477,7 +479,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command that ``argv`` (default ``sys.argv[1:]``) names.
+
+    When ``argv[0]`` names a command, that command's subparser parses the
+    rest, as the full parse would hand it on, and the top-level pass is
+    skipped.  The full parse runs when ``argv[0]`` names no command or the
+    subparser leaves arguments over; it then prints the same help, usage
+    errors and exit codes as it always has."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if sub is None or extra:
+        args = parser.parse_args(argv)
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import product
-from math import prod
+from math import gcd, prod
 from operator import eq, itemgetter
 
 from . import errors
@@ -447,15 +447,19 @@ def group_completion(M: FiniteCommMonoid) -> AbelianGroupInvariants:
 def quotient_by_submonoid(M: FiniteCommMonoid, I) -> FiniteCommMonoid:
     """Quotient by the congruence a ~ b iff a + i = b + j for some i, j in
     the submonoid I, given by element indices.  All of I collapses onto the
-    zero class, and each generator of M names its class."""
+    zero class, and each generator of M names its class.
+
+    I is closed exactly when the submonoid that a generating set of I
+    generates stays inside I, and a ~ a + i for every i in I follows from
+    a ~ a + g for the generators g, so both run over that set alone."""
     n = len(M)
     I = set(I)
     if M.zero not in I:
         raise errors.NotSubmonoid("submonoid must contain zero")
-    for a in I:
-        for b in I:
-            if M.add[a][b] not in I:
-                raise errors.NotSubmonoid("subset is not closed under addition")
+    gens = _generators(
+        M.add, M.zero, sorted(I), I,
+        lambda *_: errors.NotSubmonoid("subset is not closed under addition"),
+    )
 
     parent = list(range(n))
 
@@ -474,8 +478,8 @@ def quotient_by_submonoid(M: FiniteCommMonoid, I) -> FiniteCommMonoid:
 
     for a in range(n):
         row = M.add[a]
-        for i in I:
-            union(a, row[i])
+        for g in gens:
+            union(a, row[g])
 
     class_reps = sorted({find(x) for x in range(n)})
     class_index = {r: c for c, r in enumerate(class_reps)}
@@ -511,33 +515,66 @@ def _order_profile(M: FiniteCommMonoid, x: int):
         seen[y] = steps
 
 
+def _order_profiles(M: FiniteCommMonoid) -> list:
+    """``_order_profile(M, x)`` for every x, walking only the elements that
+    no earlier walk reached.  The walk of x, of index i and period p,
+    passes k x for k < i + p, and k x has index ceil(i / k) and period
+    p / gcd(p, k)."""
+    add = M.add
+    profiles = [None] * len(M)
+    for x, known in enumerate(profiles):
+        if known is not None:
+            continue
+        seen = {x: 1}
+        y = add[x][x]
+        while y not in seen:
+            seen[y] = len(seen) + 1
+            y = add[y][x]
+        i = seen[y]
+        p = len(seen) + 1 - i
+        for y, k in seen.items():
+            if profiles[y] is None:
+                profiles[y] = (-(-i // k), p // gcd(p, k))
+    return profiles
+
+
+def _generators(add, zero: int, elements, inside, refuse) -> list:
+    """The elements, in the order given, that the earlier ones do not
+    generate in the table ``add``.  A new generator x is added to every
+    element generated so far, and each element reached is added to every
+    generator, so each element costs one step per generator.  Raises
+    ``refuse(gens, a)`` for the first sum a found outside ``inside``."""
+    gens = []
+    closed = {zero}
+    for x in elements:
+        if x in closed:
+            continue
+        gens.append(x)
+        # x twice, so that one generator still gives a tuple
+        plus_gens = itemgetter(x, *gens)
+        frontier = [add[a][x] for a in closed]
+        while frontier:
+            a = frontier.pop()
+            if a not in closed:
+                if a not in inside:
+                    raise refuse(gens, a)
+                closed.add(a)
+                frontier += plus_gens(add[a])
+    return gens
+
+
 def _generating_set(M: FiniteCommMonoid) -> list:
-    """The elements, in index order, that the earlier ones do not generate.
-    A new generator x is added to every element generated so far, and each
-    element reached is added to every generator, so each element costs one
-    step per generator.  Cached on M; the caller gets a fresh list."""
+    """The elements, in index order, that the earlier ones do not generate
+    (``_generators``).  Cached on M; the caller gets a fresh list."""
     cached = M._cache.get("generating_set")
     if cached is None:
-        n, add = len(M), M.add
-        gens = []
-        closed = {M.zero}
-        for x in range(n):
-            if x in closed:
-                continue
-            gens.append(x)
-            # x twice, so that one generator still gives a tuple
-            plus_gens = itemgetter(x, *gens)
-            frontier = [add[a][x] for a in closed]
-            while frontier:
-                a = frontier.pop()
-                if a not in closed:
-                    if not 0 <= a < n:
-                        raise errors.CertificateFailed(
-                            f"a sum of {gens} is {a!r}, which names no element"
-                        )
-                    closed.add(a)
-                    frontier += plus_gens(add[a])
-        cached = M._cache["generating_set"] = gens
+        elements = range(len(M))
+        cached = M._cache["generating_set"] = _generators(
+            M.add, M.zero, elements, elements,
+            lambda gens, a: errors.CertificateFailed(
+                f"a sum of {gens} is {a!r}, which names no element"
+            ),
+        )
     return list(cached)
 
 
@@ -585,8 +622,8 @@ def monoid_isomorphic(M1: FiniteCommMonoid, M2: FiniteCommMonoid):
     n = len(M1)
     if n != len(M2):
         return None
-    profiles1 = [_order_profile(M1, x) for x in range(n)]
-    profiles2 = [_order_profile(M2, y) for y in range(n)]
+    profiles1 = _order_profiles(M1)
+    profiles2 = _order_profiles(M2)
     if sorted(profiles1) != sorted(profiles2):
         return None
     gens = _generating_set(M1)

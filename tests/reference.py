@@ -2,10 +2,11 @@
 
 Nothing in ``sandmon`` calls these: one-step firing and the potential that
 certifies termination, the plain rule completion, units and atoms by
-scanning the whole table, small monoid tables built by hand, dense matrix
-helpers that check Smith normal forms, graph families, the worked examples
-that ``graphs/`` holds as files, the seeded corpus of random sandpile
-graphs and a strategy that draws small sandpile graphs.
+scanning the whole table, the quotient by a submonoid joined over every
+element, small monoid tables built by hand, dense matrix helpers that
+check Smith normal forms, graph families, the worked examples that
+``graphs/`` holds as files, the seeded corpus of random sandpile graphs
+and a strategy that draws small sandpile graphs.
 """
 
 from __future__ import annotations
@@ -198,6 +199,57 @@ def reference_units(M: FiniteCommMonoid) -> list:
     """The elements with an inverse, by scanning every row for zero."""
     z = M.zero
     return [a for a, row in enumerate(M.add) if z in row]
+
+
+def loop_quotient_by_submonoid(M: FiniteCommMonoid, I) -> FiniteCommMonoid:
+    """``quotient_by_submonoid`` as it was before it ran over a generating
+    set of I: every sum of two elements of I is checked to lie in I, and
+    every element a is joined with a + i for every i in I."""
+    n = len(M)
+    I = set(I)
+    if M.zero not in I:
+        raise errors.NotSubmonoid("submonoid must contain zero")
+    for a in I:
+        for b in I:
+            if M.add[a][b] not in I:
+                raise errors.NotSubmonoid("subset is not closed under addition")
+
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        x, y = find(x), find(y)
+        if x != y:
+            if x > y:
+                x, y = y, x
+            parent[y] = x
+
+    for a in range(n):
+        row = M.add[a]
+        for i in I:
+            union(a, row[i])
+
+    class_reps = sorted({find(x) for x in range(n)})
+    class_index = {r: c for c, r in enumerate(class_reps)}
+    class_of = [class_index[find(x)] for x in range(n)]
+    table = [[class_of[M.add[rep_i][rep_j]] for rep_j in class_reps]
+             for rep_i in class_reps]
+    return FiniteCommMonoid(
+        add=table,
+        zero=class_of[M.zero],
+        labels=[M.labels[r] for r in class_reps],
+        reps=[M.reps[r] for r in class_reps] if M.reps else None,
+        generators=(
+            {name: class_of[x] for name, x in M.generators.items()}
+            if M.generators is not None
+            else None
+        ),
+    )
 
 
 def reference_atoms(M: FiniteCommMonoid) -> list:

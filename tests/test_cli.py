@@ -1,4 +1,6 @@
 import codecs
+import contextlib
+import io
 import json
 import re
 from pathlib import Path
@@ -743,3 +745,67 @@ def test_main_calls_the_current_command_functions(capsys, monkeypatch):
     assert main(["export-dot", graph_path("g_2_3.sg")]) == 0
     assert [name for name, _ in calls] == ["check", "cycle_suite", "export_dot"]
     assert capsys.readouterr().out == ""
+
+
+COMMANDS = ["check", "stabilize", "monoid", "wmonoid", "group", "k0", "realize",
+            "classify", "prime", "cycle-suite", "export-dot"]
+ARGV_TOKENS = sorted({name[:k] for name in COMMANDS for k in range(1, len(name) + 1)}) + [
+    "--json", "--js", "--config", "--config=v=1", "--mode", "free", "bad", "--cap",
+    "7", "-1", "x", "-h", "--", graph_path("g_2_3.sg"), "extra"]
+
+
+def parse_outcome(parse, argv):
+    """The exit code, stdout, stderr and namespace of ``parse(argv)``; the
+    namespace is None when parsing exits."""
+    out, err = io.StringIO(), io.StringIO()
+    args, rc = None, 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue(), args
+
+
+def namespace_from_main(argv):
+    """The namespace that ``main(argv)`` hands to its command function."""
+    handed = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in [n for n in vars(cli) if n.startswith("cmd_")]:
+            mp.setattr(cli, name, handed.append)
+        main(argv)
+    [args] = handed
+    return args
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(ARGV_TOKENS), max_size=6),
+    st.builds(lambda name, rest: [name] + rest, st.sampled_from(COMMANDS),
+              st.lists(st.sampled_from(ARGV_TOKENS), max_size=6)),
+))
+def test_main_parses_argv_as_a_fresh_full_parse_does(argv):
+    fresh = build_parser.__wrapped__()
+    assert parse_outcome(namespace_from_main, argv) == parse_outcome(fresh.parse_args, argv)
+
+
+def test_canonical_argv_never_reaches_the_top_level_parse(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
+    monkeypatch.setattr(build_parser(), "parse_args", refuse)
+    calls = recorded_calls(monkeypatch, "check", "stabilize", "wmonoid",
+                           "k0", "cycle_suite", "export_dot")
+    path = graph_path("g_2_3.sg")
+    for argv in (["check", path], ["check", path, "--json"],
+                 ["stabilize", path, "--config", "x=5", "--mode", "free"],
+                 ["wmonoid", path, "--variant", "no-sinks", "--cap", "7"],
+                 ["k0", path, "--sandpile-group", "--json"],
+                 ["cycle-suite", "2,2,1"], ["cycle-suite", "-2,1"],
+                 ["export-dot", path]):
+        assert main(argv) == 0
+    assert [name for name, _ in calls] == ["check", "check", "stabilize", "wmonoid",
+                                           "k0", "cycle_suite", "cycle_suite",
+                                           "export_dot"]
+    assert calls[0][1] == {"command": "check", "graph": path, "json": False}

@@ -60,6 +60,7 @@ from reference import (
     ideal_matches_invariants,
     is_atom_cancellative,
     loop_generating_set,
+    loop_quotient_by_submonoid,
     make_t_graph,
     monogenic_monoid,
     named_examples,
@@ -297,6 +298,49 @@ def test_quotient_by_units_matches_quotient_graph_presentation():
         q = quotient_graph(g, non_cycle_vertices(g))
         presented = enumerate_weighted_monoid(q, sink_relations=False)
         assert monoid_isomorphic(quotient_monoid, presented) is not None
+
+
+def quotient_outcome(quotient, M, I):
+    """The fields of ``quotient(M, I)``, or the NotSubmonoid message."""
+    try:
+        Q = quotient(M, I)
+    except errors.NotSubmonoid as exc:
+        return str(exc)
+    return Q.add, Q.zero, list(Q.labels), Q.reps, Q.generators
+
+
+def assert_quotient_matches_the_loop(M, I):
+    assert (quotient_outcome(quotient_by_submonoid, M, I)
+            == quotient_outcome(loop_quotient_by_submonoid, M, I))
+
+
+def test_quotient_by_units_matches_the_loop_on_the_corpus_and_named_examples():
+    graphs = random_sandpile_corpus() + list(named_examples().values())
+    graphs += [unit_and_idempotent_graph(k) for k in (2, 5, 64)]
+    for g in graphs:
+        sp = enumerate_sandpile_monoid(g)
+        assert_quotient_matches_the_loop(sp, units(sp))
+    for k in (3, 256):
+        M = unit_group_plus_idempotent(k)
+        assert_quotient_matches_the_loop(M, units(M))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_quotient_matches_the_loop_on_drawn_subsets(data):
+    M = data.draw(st.sampled_from([
+        monogenic_monoid(2, 3), cyclic_group_monoid(6), unit_group_plus_idempotent(4),
+        direct_sum(cyclic_monoid(3), cyclic_group_monoid(2)),
+        enumerate_sandpile_monoid(make_t_graph()),
+    ]))
+    subset = data.draw(st.sets(st.integers(0, len(M) - 1), max_size=len(M)))
+    closed = data.draw(st.booleans())
+    if closed:
+        # the submonoid that the drawn elements generate
+        subset |= {M.zero}
+        while (grown := subset | {M.add[a][b] for a in subset for b in subset}) != subset:
+            subset = grown
+    assert_quotient_matches_the_loop(M, sorted(subset))
 
 
 def test_monoid_isomorphic_examples():
@@ -1386,6 +1430,29 @@ def test_generating_set_rejects_an_element_outside_the_table(value):
     M = corrupted_copy(cyclic_monoid(4), 1, 1, value)
     with pytest.raises(errors.CertificateFailed):
         monoid._generating_set(M)
+
+
+def assert_profiles_match_the_walks(M):
+    assert monoid._order_profiles(M) == [monoid._order_profile(M, x) for x in range(len(M))]
+
+
+def test_derived_profiles_match_the_walks_on_the_corpus_and_named_examples():
+    graphs = random_sandpile_corpus() + list(named_examples().values())
+    for g in graphs:
+        for M in realization_monoids(g):
+            assert_profiles_match_the_walks(M)
+    for M in [monogenic_monoid(i, p) for i in range(4) for p in range(1, 13)]:
+        assert_profiles_match_the_walks(M)
+        assert_profiles_match_the_walks(reversed_copy(M))
+    for orders in ([2, 3], [4, 6], [3, 3, 4], [2, 2, 2, 2]):
+        assert_profiles_match_the_walks(direct_sum_of_cyclic(orders))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_sandpile_graphs())
+def test_derived_profiles_match_the_walks_on_generated_graphs(g):
+    for M in realization_monoids(g):
+        assert_profiles_match_the_walks(M)
 
 
 def reference_monoid_isomorphic(M1, M2):
