@@ -472,7 +472,7 @@ def cycle_companion_sandpile(weights) -> SandpileGraph:
 def parse_graph(text: str):
     """Parse the line-based graph format.
 
-    Lines: ``vertex <name>``, ``edge <src> <dst> [w=<int>]``, optional
+    Lines: ``vertex <name>``, ``edge <src> <dst> [w=<int>]``, at most one
     ``sink <name>`` hint; ``#`` starts a comment.  Returns the graph and the
     sink hint (or None).  Each name is resolved to its index once, as the
     line is read.
@@ -531,11 +531,15 @@ def parse_graph(text: str):
             index[parts[1]] = len(names)
             names.append(parts[1])
         elif kind == "sink":
+            if sink_hint is not None:
+                raise errors.GraphFormatError(
+                    f"line {lineno}: duplicate sink line (the first is line {sink_line})"
+                )
             if len(parts) != 2:
                 raise errors.GraphFormatError(f"line {lineno}: sink takes one name")
             if parts[1] not in index:
                 raise errors.GraphFormatError(f"line {lineno}: undeclared vertex {parts[1]!r}")
-            sink_hint = parts[1]
+            sink_hint, sink_line = parts[1], lineno
         else:
             raise errors.GraphFormatError(f"line {lineno}: unknown directive {kind!r}")
     return WeightedDigraph._from_parts(tuple(names), index, tuple(edges), {}), sink_hint

@@ -385,6 +385,11 @@ def test_parse_errors(text):
     # a sink line before its vertex
     ("vertex a\nsink b\nvertex b\n", "line 2: undeclared vertex 'b'"),
     ("vertex a\nsink b c\n", "line 2: sink takes one name"),
+    # at most one sink line, whichever vertex the second names
+    ("vertex a\nvertex s\nedge a s\nsink s\nsink a\n",
+     "line 5: duplicate sink line (the first is line 4)"),
+    ("vertex a\nvertex s\nsink a\nedge a s\n# s\nsink s\n",
+     "line 6: duplicate sink line (the first is line 3)"),
     ("vertex a\nvertex a b\n", "line 2: vertex takes one name"),
     ("vertex a\n  # only a comment\n\tflurb a\n", "line 3: unknown directive 'flurb'"),
 ])
@@ -562,11 +567,15 @@ def reference_parse_graph(text):
                     )
             edges.append((parts[1], parts[2], weight))
         elif kind == "sink":
+            if sink_hint is not None:
+                raise errors.GraphFormatError(
+                    f"line {lineno}: duplicate sink line (the first is line {sink_line})"
+                )
             if len(parts) != 2:
                 raise errors.GraphFormatError(f"line {lineno}: sink takes one name")
             if parts[1] not in declared:
                 raise errors.GraphFormatError(f"line {lineno}: undeclared vertex {parts[1]!r}")
-            sink_hint = parts[1]
+            sink_hint, sink_line = parts[1], lineno
         else:
             raise errors.GraphFormatError(f"line {lineno}: unknown directive {kind!r}")
     return WeightedDigraph(names, edges), sink_hint

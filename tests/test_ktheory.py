@@ -128,11 +128,34 @@ def _check_certificate(A):
     return diag
 
 
+def eliminated_by(pivots, A):
+    """The SNF diagonal of A from one eliminator, called directly, whatever
+    the size of A."""
+    m, n = len(A), len(A[0]) if A else 0
+    return ktheory._diagonal(pivots(A, n), m, n)
+
+
+def dense_diagonal(A):
+    return eliminated_by(ktheory._dense_pivots, A)
+
+
+def sparse_diagonal(A):
+    return eliminated_by(ktheory._sparse_pivots, A)
+
+
+def assert_eliminators_match(A, expected):
+    """smith_diagonal, and the dense and the sparse eliminator each called
+    directly, give the expected diagonal."""
+    for f in (smith_diagonal, dense_diagonal, sparse_diagonal):
+        assert f(A) == expected, f.__name__
+
+
 def assert_diagonal_matches(A, expected=None):
-    """smith_diagonal equals the diagonal of the certified SNF."""
+    """smith_diagonal and both eliminators equal the diagonal of the
+    certified SNF."""
     if expected is None:
         expected = snf_diagonal(smith_normal_form(A)[1])
-    assert smith_diagonal(A) == expected
+    assert_eliminators_match(A, expected)
 
 
 def test_snf_hand_cases():
@@ -254,12 +277,13 @@ def test_non_integer_entries_are_rejected():
     # None and '' test false, like 0, but are no integers either
     for matrix in ([[2.5]], [[2, 0], [0, 3.0]], [["3"]], [[1, 0.5]], [[1, None]],
                    [[2, None], [None, 3]], [["", 1]]):
-        for f in (smith_diagonal, smith_normal_form, cokernel):
+        for f in (smith_diagonal, smith_normal_form, cokernel, dense_diagonal,
+                  sparse_diagonal):
             with pytest.raises(errors.BadParameters) as info:
                 f(matrix)
             assert str(info.value) == "matrix entries must be integers"
     # entries equal to 0 read as 0
-    assert smith_diagonal([[0, 0.0], [False, 3]]) == [3, 0]
+    assert_eliminators_match([[0, 0.0], [False, 3]], [3, 0])
 
 
 def test_ragged_matrices_are_rejected():
@@ -267,6 +291,13 @@ def test_ragged_matrices_are_rejected():
     for f in (smith_diagonal, smith_normal_form, cokernel, determinant):
         with pytest.raises(errors.BadParameters):
             f(ragged)
+    # rows that are not lists, such as a dict, whose keys a loop would read
+    for f, matrix in ((smith_diagonal, [1, 2]), (smith_normal_form, [1, 2]),
+                      (cokernel, [[1], 2]), (smith_diagonal, [[1], None]),
+                      (smith_diagonal, [{0: 5}]), (cokernel, 3)):
+        with pytest.raises(errors.BadParameters) as info:
+            f(matrix)
+        assert str(info.value) == "a matrix is a list of rows, each a list of entries"
     with pytest.raises(errors.BadParameters):
         determinant([[1, 2]])
     with pytest.raises(errors.BadParameters):
@@ -300,20 +331,21 @@ def test_smith_diagonal_matches_the_certified_snf_on_generated_matrices(A):
 
 @st.composite
 def sparse_pattern_matrices(draw):
-    """Square blocks up to 12x12 on the pattern of a path, a cycle or a grid,
-    with +-1 off the diagonal in each direction (sometimes 0 or +-2) and
-    small diagonal entries, under a relabelling of the indices; half have
-    up to three more rows than columns, as a k0 matrix of a graph with sinks
-    has.  The BFS front of smith_diagonal finds its pivots on such
-    matrices."""
+    """Square blocks on the pattern of a path or a cycle of up to twice
+    DENSE_MAX indices, or of a grid up to 6x8, with +-1 off the diagonal in
+    each direction (sometimes 0 or +-2) and small diagonal entries, under a
+    relabelling of the indices; half have up to three more rows than
+    columns, as a k0 matrix of a graph with sinks has.  The BFS front of the
+    sparse eliminator finds its pivots on such matrices, and their sizes
+    fall on both sides of DENSE_MAX."""
     kind = draw(st.sampled_from(["path", "cycle", "grid"]))
     if kind == "grid":
-        r, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        r, c = draw(st.integers(1, 6)), draw(st.integers(1, 8))
         n = r * c
         edges = [(i * c + j, i * c + j + 1) for i in range(r) for j in range(c - 1)]
         edges += [(i * c + j, (i + 1) * c + j) for i in range(r - 1) for j in range(c)]
     else:
-        n = draw(st.integers(1, 12))
+        n = draw(st.integers(1, 2 * ktheory.DENSE_MAX))
         edges = [(i, i + 1) for i in range(n - 1)]
         if kind == "cycle" and n > 2:
             edges.append((n - 1, 0))
@@ -339,7 +371,7 @@ def test_smith_diagonal_matches_on_sparse_pattern_matrices(A):
     from sympy.matrices.normalforms import invariant_factors
 
     expected = snf_diagonal(smith_normal_form(A)[1])
-    assert smith_diagonal(A) == expected
+    assert_eliminators_match(A, expected)
     assert [int(d) for d in invariant_factors(sympy.Matrix(A), domain=sympy.ZZ)] == expected
 
 
@@ -376,7 +408,37 @@ def test_smith_diagonal_matches_sympy():
     matrices += [quotient_k0_matrix_unchecked(grid_graph(n, n + 1)) for n in range(2, 6)]
     for A in matrices:
         expected = [int(d) for d in invariant_factors(sympy.Matrix(A), domain=sympy.ZZ)]
-        assert smith_diagonal(A) == expected
+        assert_eliminators_match(A, expected)
+
+
+def path_laplacian(m, n):
+    """The first m rows and n columns of the reduced Laplacian of a path
+    whose two ends drain to the sink."""
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
+            for i in range(m)]
+
+
+def test_the_shape_alone_picks_the_eliminator(monkeypatch):
+    """A matrix with at most DENSE_MAX rows and columns is eliminated on
+    dense rows, any larger one in sparse form."""
+    def refuse(*args):
+        raise AssertionError("the other eliminator ran")
+
+    T = ktheory.DENSE_MAX
+    shapes = [(T, T), (T, 1), (1, T), (T + 1, T + 1), (T + 1, T), (1, T + 1), (T + 1, 1)]
+    matrices = [path_laplacian(m, n) for m, n in shapes]
+    expected = [snf_diagonal(smith_normal_form(A)[1]) for A in matrices]
+    # the cokernel of the k-vertex path is Z/(k + 1)
+    assert expected[0] == [1] * (T - 1) + [T + 1]
+    for refused in ("_sparse_pivots", "_dense_pivots"):
+        monkeypatch.setattr(ktheory, refused, refuse)
+        for (m, n), A, diagonal in zip(shapes, matrices, expected):
+            if (max(m, n) <= T) == (refused == "_sparse_pivots"):
+                assert smith_diagonal(A) == diagonal
+            else:
+                with pytest.raises(AssertionError, match="the other eliminator ran"):
+                    smith_diagonal(A)
+        monkeypatch.undo()
 
 
 def test_sandpile_group_order_is_the_number_of_spanning_trees():
